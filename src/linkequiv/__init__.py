@@ -59,8 +59,10 @@ from .fit import (
     Dataset,
     FitResult,
     ModelSpec,
+    StackFit,
     design_matrix,
     fit_mle,
+    fit_stack,
     information_criteria,
     log_likelihood,
     observed_information,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -160,7 +161,19 @@ def _parse_links(text: str) -> tuple[LinkKind, ...]:
             ) from None
     if not links:
         raise ArgumentError("no links given")
+    if len(set(links)) != len(links):
+        raise ArgumentError("each link may be named only once in --links")
     return tuple(links)
+
+
+def _check_replication_flags(args) -> None:
+    """Reject --jobs below 1 and --max-invalid-frac outside [0, 1], and
+    cap --jobs at the number of CPUs."""
+    if args.jobs < 1:
+        raise ArgumentError("--jobs must be at least 1")
+    if not 0.0 <= args.max_invalid_frac <= 1.0:
+        raise ArgumentError("--max-invalid-frac must lie in [0, 1]")
+    args.jobs = min(args.jobs, os.cpu_count() or 1)
 
 
 def _invalid_exit(n_failed: int, total: int, max_frac: float) -> int:
@@ -228,6 +241,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_structural(args) -> int:
+    _check_replication_flags(args)
     cfg = _gen_config(args)
     report = structural_sim(cfg, args.reps, args.inner, args.seed, jobs=args.jobs)
     rows = [
@@ -258,6 +272,7 @@ def cmd_structural(args) -> int:
 
 
 def cmd_predictive(args) -> int:
+    _check_replication_flags(args)
     if args.csv is not None:
         data = read_dataset_csv(args.csv, args.response)
     else:
@@ -312,6 +327,7 @@ def _print_matrix(matrix: ConcordanceMatrix) -> None:
 
 
 def cmd_ic(args) -> int:
+    _check_replication_flags(args)
     data = read_dataset_csv(args.csv, args.response)
     links = _parse_links(args.links)
     plan = SplitPlan(
@@ -402,10 +418,11 @@ def _add_replication_flags(p, *, reps, out):
     p.add_argument("--seed", type=int, default=0,
                    help="stream seed (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default %(default)s)")
+                   help="worker processes, capped at the CPU count "
+                        "(default %(default)s)")
     p.add_argument("--max-invalid-frac", type=float, default=0.01,
-                   help="failed-replicate fraction tolerated before a "
-                        "nonzero exit (default %(default)s)")
+                   help="failed-replicate fraction in [0, 1] tolerated "
+                        "before a nonzero exit (default %(default)s)")
     p.add_argument("--out", default=out,
                    help="output CSV path (default %(default)s)")
 

@@ -1,15 +1,20 @@
 """Monte-Carlo harnesses for structural and predictive equivalence.
 
 ``structural_sim`` runs the nested R x S experiment: for each outer
-replicate, S datasets are generated and fitted under both logit and
-probit, and the probit slope estimates are regressed on the logit ones;
-the OLS slope theta, intercept tau, correlation rho and R^2 of each
-outer replicate are collected.  ``predictive_sim`` and ``ic_compare``
-replay R paired train/test splits (every link sees the identical
-partition sequence) and summarize test errors or AIC/BIC over them.
+replicate, S datasets are drawn at once and fitted under logit and
+under probit, one stacked solve per link, and the probit slope
+estimates are regressed on the logit ones; the OLS slope theta,
+intercept tau, correlation rho and R^2 of each outer replicate are
+collected.  ``predictive_sim`` and ``ic_compare`` replay R paired
+train/test splits (every link sees the identical partition sequence)
+and summarize test errors or AIC/BIC over them.
 
 Everything is keyed by (seed, replicate index) streams, so results do
-not depend on execution order or worker count.
+not depend on execution order or worker count.  Replicate r of the
+structural experiment draws its S response rows (and, for a gaussian
+design, its S rows of x) from the single streams ``(seed, r, "y")`` and
+``(seed, r, "x")``; ``generate_dataset(cfg, seed, r)`` is row 0 of that
+draw.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .concord import SplitPlan, average_test_error, split
 from .errors import ArgumentError, DegenerateSampleError, ExperimentError, LinkEquivError
-from .fit import Dataset, ModelSpec, fit_mle
+from .fit import Dataset, ModelSpec, fit_mle, fit_stack
 from .links import LinkKind, cdf
 from .parallel import replicate_map
 from .rng import substream
@@ -161,18 +166,31 @@ class IcReport:
     n_failed: int
 
 
-def generate_dataset(cfg: GenConfig, seed: int, replicate) -> Dataset:
-    """Draw one dataset.  ``replicate`` may be an int or a tuple of ints
-    (nested experiments); the result is a pure function of
-    (cfg, seed, replicate)."""
-    path = tuple(replicate) if isinstance(replicate, tuple) else (int(replicate),)
+def _draw(cfg: GenConfig, seed: int, path: tuple, S: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x values and S response rows of one stacked draw.
+
+    x is the (n,) equispaced grid shared by every row, or an (S, n)
+    gaussian draw from the ``(seed, *path, "x")`` stream; the (S, n)
+    responses come from the ``(seed, *path, "y")`` stream.  A stream fills
+    the rows in order, so row 0 of an S-row draw is the 1-row draw.
+    """
     if isinstance(cfg.design, Equispaced):
         x = np.linspace(cfg.design.lo, cfg.design.hi, cfg.n)
     else:
-        x = substream(seed, *path, "x").normal(cfg.design.mean, cfg.design.sd, cfg.n)
+        x = substream(seed, *path, "x").normal(cfg.design.mean, cfg.design.sd, (S, cfg.n))
     probs = cdf(cfg.truth_link, cfg.beta0 + cfg.beta1 * x)
-    y = (substream(seed, *path, "y").random(cfg.n) < probs).astype(float)
-    return Dataset.univariate(x, y)
+    y = (substream(seed, *path, "y").random((S, cfg.n)) < probs).astype(float)
+    return x, y
+
+
+def generate_dataset(cfg: GenConfig, seed: int, replicate) -> Dataset:
+    """Draw one dataset.  ``replicate`` may be an int or a tuple of ints
+    (nested experiments); the result is a pure function of
+    (cfg, seed, replicate), and is row 0 of that replicate's stacked
+    draw."""
+    path = tuple(replicate) if isinstance(replicate, tuple) else (int(replicate),)
+    x, y = _draw(cfg, seed, path, 1)
+    return Dataset.univariate(x.reshape(-1), y[0])
 
 
 def ols_simple(xs, ys) -> OlsLine:
@@ -202,27 +220,24 @@ def ols_simple(xs, ys) -> OlsLine:
 
 def _structural_replicate(args) -> tuple[float, float, float, float, int]:
     cfg, S, seed, r = args
-    intercept = cfg.beta0 != 0.0
-    logit_spec = ModelSpec(LinkKind.LOGIT, intercept=intercept)
-    probit_spec = ModelSpec(LinkKind.PROBIT, intercept=intercept)
-    logit_slopes = []
-    probit_slopes = []
-    dropped = 0
-    for s in range(S):
-        data = generate_dataset(cfg, seed, (r, s))
-        try:
-            lf = fit_mle(logit_spec, data)
-            pf = fit_mle(probit_spec, data)
-        except LinkEquivError:
-            dropped += 1
-            continue
-        logit_slopes.append(lf.coefficients[-1])
-        probit_slopes.append(pf.coefficients[-1])
+    x, y = _draw(cfg, seed, (r,), S)
+    return _slope_line(x[..., None], y, intercept=cfg.beta0 != 0.0)
+
+
+def _slope_line(predictors, responses, intercept: bool) -> tuple[float, float, float, float, int]:
+    """(theta, tau, rho, r2, dropped) of the probit slopes on the logit
+    slopes over the S rows of one stacked draw, each link fitted in one
+    stacked solve.  Rows whose logit or probit fit fails are dropped
+    pairwise; fewer than three surviving pairs give NaN statistics."""
+    logit = fit_stack(ModelSpec(LinkKind.LOGIT, intercept=intercept), predictors, responses)
+    probit = fit_stack(ModelSpec(LinkKind.PROBIT, intercept=intercept), predictors, responses)
+    keep = logit.ok & probit.ok
+    dropped = int(keep.size - keep.sum())
     nan = float("nan")
-    if len(logit_slopes) < 3:
+    if keep.sum() < 3:
         return nan, nan, nan, nan, dropped
     try:
-        line = ols_simple(logit_slopes, probit_slopes)
+        line = ols_simple(logit.coefficients[keep, -1], probit.coefficients[keep, -1])
     except DegenerateSampleError:
         return nan, nan, nan, nan, dropped
     return line.theta, line.tau, line.rho, line.r2, dropped

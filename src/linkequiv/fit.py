@@ -1,7 +1,14 @@
 """Maximum-likelihood estimation of binary regression coefficients.
 
-The solver is Newton ascent on the observed information with step
-halving; every accepted step strictly increases the log-likelihood.
+One solver fits a stack of S datasets at once: S response rows over a
+shared (n, k) model matrix or over one matrix per row.  ``fit_mle`` is
+its one-row case and ``fit_stack`` the general one; rows never
+interact, so a row ends exactly where it would alone.  Every likelihood
+evaluation is a single eta -> (F, f, f') pass that yields the
+log-likelihood, the score and the observed information of each row.
+
+The method is Newton ascent on the observed information with step
+halving; every accepted step does not decrease the log-likelihood.
 Whenever the Newton direction fails to point uphill (the cauchit
 likelihood is not concave, so its observed information can be
 indefinite) the iteration falls back to plain gradient ascent with the
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError, SeparationError
+from .errors import ArgumentError, LinkEquivError, NumericalError, SeparationError
 from .links import CLAMP_EPS, LinkKind, cdf, density, density_prime
 
 __all__ = [
@@ -28,6 +35,8 @@ __all__ = [
     "score",
     "observed_information",
     "fit_mle",
+    "StackFit",
+    "fit_stack",
     "information_criteria",
     "WARN_SEPARATION",
     "WARN_MAX_ITERATIONS",
@@ -137,6 +146,26 @@ class FitResult:
     n_obs: int
 
 
+@dataclass(frozen=True)
+class StackFit:
+    """Per-row outcome of a stacked solve over S datasets: coefficients
+    (S, k), log-likelihood, iterations, convergence verdict and score
+    infinity-norm (S,).  ``errors[i]`` holds the exception that stopped
+    row i, whose numeric fields are then NaN, or None."""
+
+    coefficients: np.ndarray
+    loglik: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    grad_norm: np.ndarray
+    errors: tuple[LinkEquivError | None, ...]
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Mask of the rows that were fitted."""
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+
 def design_matrix(spec: ModelSpec, data: Dataset) -> np.ndarray:
     """The model matrix, with a leading column of ones when an intercept
     is requested."""
@@ -157,49 +186,235 @@ def _checked_beta(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return b
 
 
-def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:
-    """Bernoulli log-likelihood sum(y*log(pi) + (1-y)*log(1-pi)) with
-    pi = F(eta); finite for any finite beta thanks to the CDF clamp."""
-    b = _checked_beta(spec, beta, data)
-    eta = design_matrix(spec, data) @ b
-    pi = cdf(spec.link, eta)
-    y = data.response
-    return float(np.sum(y * np.log(pi) + (1.0 - y) * np.log1p(-pi)))
+def _evaluate(link: LinkKind, X: np.ndarray, Y: np.ndarray, beta: np.ndarray,
+              derivatives: bool = True):
+    """Log-likelihood of each row of a stack and, with ``derivatives``, its
+    score and observed information, all from one eta -> (F, f, f') pass.
 
-
-def _interior(pi: np.ndarray) -> np.ndarray:
+    ``X`` is an (n, k) model matrix shared by every row or an (S, n, k)
+    stack of them, ``Y`` holds (S, n) boolean responses and ``beta`` (S, k)
+    coefficients.  Returns ``(ll, g, H)`` of shapes (S,), (S, k) and
+    (S, k, k); ``g`` and ``H`` are None without ``derivatives``.  Every
+    product is a batched matmul, so each row comes out exactly as it
+    would on its own.
+    """
+    eta = (X @ beta[..., None])[..., 0]
+    pi = cdf(link, eta)
+    # y*log(pi) + (1-y)*log(1-pi), term by term
+    ll = np.where(Y, np.log(pi), np.log1p(-pi)).sum(axis=-1)
+    if not derivatives:
+        return ll, None, None
+    f = density(link, eta)
+    fp = density_prime(link, eta)
+    q = pi * (1.0 - pi)
+    resid = Y - pi
     # where the CDF clamp pins pi, the likelihood is locally flat in eta,
     # so those observations contribute nothing to the gradient or the
     # curvature (chain rule through the clamp)
-    return (pi > CLAMP_EPS) & (pi < 1.0 - CLAMP_EPS)
+    interior = (pi > CLAMP_EPS) & (pi < 1.0 - CLAMP_EPS)
+    u = np.where(interior, resid * f / q, 0.0)
+    w = f * f / q - resid * (fp * q - f * f * (1.0 - 2.0 * pi)) / (q * q)
+    w = np.where(interior, w, 0.0)
+    g = (u[..., None, :] @ X)[..., 0, :]
+    H = np.swapaxes(X, -1, -2) @ (w[..., None] * X)
+    return ll, g, H
+
+
+def _evaluate_one(spec: ModelSpec, beta, data: Dataset, derivatives: bool):
+    b = _checked_beta(spec, beta, data)
+    return _evaluate(spec.link, design_matrix(spec, data), data.response[None] == 1.0,
+                     b[None], derivatives)
+
+
+def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:
+    """Bernoulli log-likelihood sum(y*log(pi) + (1-y)*log(1-pi)) with
+    pi = F(eta); finite for any finite beta thanks to the CDF clamp."""
+    ll, _, _ = _evaluate_one(spec, beta, data, derivatives=False)
+    return float(ll[0])
 
 
 def score(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     """Gradient of the log-likelihood,
     sum_i (y_i - pi_i) * f(eta_i) / (pi_i * (1 - pi_i)) * xtilde_i,
     with clamped observations contributing zero."""
-    b = _checked_beta(spec, beta, data)
-    X = design_matrix(spec, data)
-    eta = X @ b
-    pi = cdf(spec.link, eta)
-    f = density(spec.link, eta)
-    u = np.where(_interior(pi), (data.response - pi) * f / (pi * (1.0 - pi)), 0.0)
-    return X.T @ u
+    _, g, _ = _evaluate_one(spec, beta, data, derivatives=True)
+    return g[0]
 
 
 def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     """Negative Hessian of the log-likelihood at ``beta``."""
-    b = _checked_beta(spec, beta, data)
-    X = design_matrix(spec, data)
-    eta = X @ b
-    pi = cdf(spec.link, eta)
-    f = density(spec.link, eta)
-    fp = density_prime(spec.link, eta)
-    q = pi * (1.0 - pi)
-    resid = data.response - pi
-    w = f * f / q - resid * (fp * q - f * f * (1.0 - 2.0 * pi)) / (q * q)
-    w = np.where(_interior(pi), w, 0.0)
-    return X.T @ (w[:, None] * X)
+    _, _, H = _evaluate_one(spec, beta, data, derivatives=True)
+    return H[0]
+
+
+def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton directions (H + ridge)^-1 g of a stack, and the mask of rows
+    whose damped information is singular (their direction is NaN)."""
+    damped = H + RIDGE * np.eye(g.shape[1])
+    singular = np.zeros(g.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(damped, g[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    direction = np.full_like(g, np.nan)
+    for i in range(g.shape[0]):
+        try:
+            direction[i] = np.linalg.solve(damped[i:i + 1], g[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return direction, singular
+
+
+def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
+            tol: float, max_iter: int, trace: list | None) -> StackFit:
+    """The solver behind ``fit_mle`` and ``fit_stack``, on validated input.
+
+    Each pass steps every unconverged row together: one evaluation at
+    the full Newton step, then halvings for the rows whose
+    log-likelihood fell, until each row is accepted or gives up.  A row
+    that fails is recorded in ``errors`` and leaves the stack; the
+    others go on exactly as they would alone.
+    """
+    Y = Y == 1.0
+    S = Y.shape[0]
+    k = X.shape[-1]
+    shared = X.ndim == 2
+    errors: list[LinkEquivError | None] = [None] * S
+    if has_predictors:
+        for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
+            errors[i] = SeparationError(
+                "response takes a single value; coefficients of a model with "
+                "predictors diverge"
+            )
+    idx = np.array([i for i in range(S) if errors[i] is None], dtype=int)
+    beta = np.zeros((S, k))
+    ll = np.full(S, np.nan)
+    g = np.zeros((S, k))
+    H = np.zeros((S, k, k))
+    iterations = np.zeros(S, dtype=int)
+
+    def evaluate(rows, b, derivatives):
+        return _evaluate(link, X if shared else X[rows], Y[rows], b, derivatives)
+
+    if idx.size:
+        ll[idx], g[idx], H[idx] = evaluate(idx, beta[idx], True)
+    if trace is not None:
+        trace.append(ll.copy())
+    for _ in range(max_iter):
+        idx = idx[np.abs(g[idx]).max(axis=1, initial=0.0) > tol]
+        if not idx.size:
+            break
+        Hi = H[idx]
+        bad = ~np.isfinite(Hi).all(axis=(1, 2))
+        if bad.any():
+            for i in idx[bad]:
+                errors[i] = NumericalError("observed information is not finite")
+            idx, Hi = idx[~bad], Hi[~bad]
+        gi = g[idx]
+        direction, singular = _directions(Hi, gi)
+        if singular.any():
+            for i in idx[singular]:
+                errors[i] = NumericalError(
+                    "information matrix is singular even after ridge damping"
+                )
+            idx, gi, direction = idx[~singular], gi[~singular], direction[~singular]
+        if not idx.size:
+            break
+        # the cauchit information can be indefinite: where the Newton
+        # direction does not point uphill, take the gradient instead
+        uphill = np.isfinite(direction).all(axis=1) & (np.sum(gi * direction, axis=1) > 0.0)
+        if not uphill.all():
+            direction[~uphill] = gi[~uphill]
+        # ties are accepted: near the optimum the true gain rounds below
+        # the float resolution of the log-likelihood, yet the full Newton
+        # step still shrinks the gradient quadratically
+        rows, start, start_ll = idx, beta[idx], ll[idx]
+        Xp, Yp = (X if shared else X[idx]), Y[idx]
+        moved = np.zeros(S, dtype=bool)
+        stale = np.zeros(S, dtype=bool)
+        step = 1.0
+        for halving in range(MAX_HALVINGS + 1):
+            candidate = start + step * direction
+            c_ll, c_g, c_H = _evaluate(link, Xp, Yp, candidate, halving == 0)
+            accepted = c_ll >= start_ll
+            if not accepted.any():
+                step *= 0.5
+                continue
+            # an accepted step that moves no coefficient is a stall
+            take = accepted & np.any(candidate != start, axis=1)
+            hit = rows[take]
+            beta[hit] = candidate[take]
+            ll[hit] = c_ll[take]
+            moved[hit] = True
+            if halving == 0:
+                g[hit] = c_g[take]
+                H[hit] = c_H[take]
+            else:
+                stale[hit] = True  # probed without derivatives
+            if accepted.all():
+                break
+            keep = ~accepted
+            rows, start, start_ll, direction = (
+                rows[keep], start[keep], start_ll[keep], direction[keep])
+            Yp = Yp[keep]
+            if not shared:
+                Xp = Xp[keep]
+            step *= 0.5
+        idx = np.flatnonzero(moved)
+        iterations[idx] += 1
+        if stale.any():
+            stale = np.flatnonzero(stale)
+            _, g[stale], H[stale] = evaluate(stale, beta[stale], True)
+        if trace is not None and idx.size:
+            trace.append(ll.copy())
+    grad_norm = np.abs(g).max(axis=1, initial=0.0)
+    failed = np.array([e is not None for e in errors])
+    beta[failed] = np.nan
+    ll[failed] = np.nan
+    grad_norm[failed] = np.nan
+    return StackFit(
+        coefficients=beta,
+        loglik=ll,
+        iterations=iterations,
+        converged=grad_norm <= tol,
+        grad_norm=grad_norm,
+        errors=tuple(errors),
+    )
+
+
+def fit_stack(
+    spec: ModelSpec,
+    predictors,
+    responses,
+    *,
+    tol: float = SOLVER_TOL,
+    max_iter: int = MAX_ITERATIONS,
+) -> StackFit:
+    """Fit S datasets in one batched solve.
+
+    ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
+    (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
+    per row.  Row i ends where ``fit_mle`` ends on dataset i.  A row
+    whose fit fails (single-valued response with predictors, information
+    not finite or singular) gets NaN fields and its exception in
+    ``StackFit.errors``; the other rows are unaffected.
+    """
+    Y = np.asarray(responses, dtype=float)
+    P = np.asarray(predictors, dtype=float)
+    if Y.ndim != 2 or Y.size == 0:
+        raise ArgumentError("responses must be a non-empty (S, n) array")
+    if P.ndim not in (2, 3) or P.shape[-2] != Y.shape[1] or (
+        P.ndim == 3 and P.shape[0] != Y.shape[0]
+    ):
+        raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
+    if not np.all(np.isfinite(P)):
+        raise ArgumentError("predictor entries must be finite")
+    if not np.all((Y == 0.0) | (Y == 1.0)):
+        raise ArgumentError("response entries must be exactly 0 or 1")
+    X = P
+    if spec.intercept:
+        X = np.concatenate([np.ones(P.shape[:-1] + (1,)), P], axis=-1)
+    return _newton(spec.link, X, Y, P.shape[-1] > 0, tol, max_iter, None)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -226,75 +441,35 @@ def fit_mle(
 ) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
-    Convergence is declared when the score infinity-norm drops to
-    ``tol``.  Identical inputs produce bit-identical coefficients.  A
-    suspected-separation or iteration-cap condition is reported through
+    This is the one-row case of the stacked solver.  Convergence is
+    declared when the score infinity-norm drops to ``tol``.  Identical
+    inputs produce bit-identical coefficients.  A suspected-separation
+    or iteration-cap condition is reported through
     ``FitResult.warnings`` rather than by aborting, so replication
-    harnesses survive pathological resamples.
+    harnesses survive pathological resamples.  ``_trace``, when given,
+    receives the log-likelihood after the start and after each step.
 
     Raises ``SeparationError`` when a model with predictors sees a
     single-valued response, and ``NumericalError`` when the damped
-    information matrix cannot be solved.
+    information matrix is not finite or cannot be solved.
     """
-    y = data.response
-    if data.p > 0 and y.min() == y.max():
-        raise SeparationError(
-            "response takes a single value; coefficients of a model with "
-            "predictors diverge"
-        )
-    k = spec.coefficient_count(data.p)
-    beta = np.zeros(k)
-    ll = log_likelihood(spec, beta, data)
+    trace = None if _trace is None else []
+    stack = _newton(spec.link, design_matrix(spec, data), data.response[None],
+                    data.p > 0, tol, max_iter, trace)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
     if _trace is not None:
-        _trace.append(ll)
-    iterations = 0
-    converged = False
-    grad_norm = 0.0
-    for _ in range(max_iter):
-        g = score(spec, beta, data)
-        grad_norm = float(np.max(np.abs(g))) if k else 0.0
-        if grad_norm <= tol:
-            converged = True
-            break
-        H = observed_information(spec, beta, data)
-        if not np.all(np.isfinite(H)):
-            raise NumericalError("observed information is not finite")
-        H = H + RIDGE * np.eye(k)
-        try:
-            direction = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "information matrix is singular even after ridge damping"
-            ) from exc
-        if not np.all(np.isfinite(direction)) or float(g @ direction) <= 0.0:
-            direction = g
-        # ties are accepted: near the optimum the true gain rounds below
-        # the float resolution of the log-likelihood, yet the full Newton
-        # step still shrinks the gradient quadratically
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = beta + step * direction
-            candidate_ll = log_likelihood(spec, candidate, data)
-            if candidate_ll >= ll:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or bool(np.all(candidate == beta)):
-            break  # no representable progress along this ray
-        beta, ll = candidate, candidate_ll
-        iterations += 1
-        if _trace is not None:
-            _trace.append(ll)
-    if not converged:
-        g = score(spec, beta, data)
-        grad_norm = float(np.max(np.abs(g))) if k else 0.0
-        converged = grad_norm <= tol
+        _trace.extend(float(values[0]) for values in trace)
+    beta = stack.coefficients[0]
+    ll = float(stack.loglik[0])
+    iterations = int(stack.iterations[0])
+    converged = bool(stack.converged[0])
     warnings = []
     if iterations >= max_iter and not converged:
         warnings.append(WARN_MAX_ITERATIONS)
     if _separation_suspected(spec, beta, data):
         warnings.append(WARN_SEPARATION)
+    k = beta.size
     n = data.n
     return FitResult(
         coefficients=beta,
@@ -303,7 +478,7 @@ def fit_mle(
         bic=k * math.log(n) - 2.0 * ll,
         iterations=iterations,
         converged=converged,
-        grad_norm=grad_norm,
+        grad_norm=float(stack.grad_norm[0]),
         warnings=tuple(warnings),
         n_obs=n,
     )

@@ -216,7 +216,7 @@ _DENSITY_PRIME = {
 
 def _finite_array(value, name):
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
 

@@ -1,11 +1,13 @@
 """End-to-end subcommand behaviour, file formats and determinism."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from linkequiv import cli, parallel
 from linkequiv.cli import EXIT_ERROR, EXIT_OK, EXIT_TOO_MANY_INVALID, main, read_dataset_csv
 
 
@@ -47,6 +49,19 @@ class TestGen:
         run("gen", "--n", 50, "--seed", 7, "--out", a)
         run("gen", "--n", 50, "--seed", 8, "--out", b)
         assert a.read_bytes() != b.read_bytes()
+
+    # sha256 of the CSVs as written before structural replicates were drawn
+    # as one stacked stream: gen output must not change with that scheme
+    @pytest.mark.parametrize("args, digest", [
+        ((), "5e2c4f003fb40e399099b5392c88561a738089c5e2ff35743bce8d27fb8c1dcb"),
+        (("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
+          "--beta1", 2, "--seed", 3, "--n", 500),
+         "d2416e09f42275d1b57103cfe9b39a7ddc17a4e8e82b010d37068c3e425d7176"),
+    ])
+    def test_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "g.csv"
+        assert run("gen", *args, "--out", out) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFit:
@@ -139,6 +154,76 @@ class TestPredictive:
         code = run("predictive", "--csv", path, "-R", 10, "--seed", 1,
                    "--out", out, "--links", "logit")
         assert code == EXIT_TOO_MANY_INVALID
+
+
+def replication_argv(command, csv_path, out):
+    """A tiny run of one replication subcommand."""
+    if command == "structural":
+        return ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", out]
+    if command == "predictive":
+        return ["predictive", "--csv", csv_path, "-R", 3, "--links", "logit", "--out", out]
+    return ["ic", csv_path, "-R", 3, "--links", "logit", "--out", out]
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no worker process is started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        FakePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("command", ["structural", "predictive", "ic"])
+class TestReplicationFlags:
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, command, jobs, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(*replication_argv(command, dataset_csv, out), "--jobs", jobs) == EXIT_ERROR
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, started", [(1, []), (3, [3])])
+    def test_jobs_capped_at_cpu_count(self, command, cpus, started, dataset_csv, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "started", [])
+        out = tmp_path / "o.csv"
+        assert run(*replication_argv(command, dataset_csv, out), "--jobs", 64) == EXIT_OK
+        assert FakePool.started == started
+
+    @pytest.mark.parametrize("frac", ["-1", "1.5", "nan"])
+    def test_max_invalid_frac_outside_unit_interval_rejected(self, command, frac, dataset_csv,
+                                                             tmp_path, capsys):
+        argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
+        assert run(*argv, "--max-invalid-frac", frac) == EXIT_ERROR
+        assert "--max-invalid-frac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frac", ["0", "1"])
+    def test_max_invalid_frac_bounds_accepted(self, command, frac, dataset_csv, tmp_path):
+        argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
+        assert run(*argv, "--max-invalid-frac", frac) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["predictive", "ic"])
+def test_duplicate_links_rejected(command, dataset_csv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = replication_argv(command, dataset_csv, out)
+    argv[argv.index("--links") + 1] = "probit,logit,PROBIT"
+    assert run(*argv) == EXIT_ERROR
+    assert "once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConcordance:

@@ -27,6 +27,7 @@ from linkequiv import (
     substream,
     summarize,
 )
+from linkequiv.equiv import _draw, _slope_line
 
 EXAMPLE_ONE = GenConfig(
     design=Equispaced(0.0, 1.0),
@@ -226,6 +227,52 @@ class TestStructuralSim:
             structural_sim(EXAMPLE_ONE, R=0, S=10, seed=0)
         with pytest.raises(ArgumentError):
             structural_sim(EXAMPLE_ONE, R=1, S=2, seed=0)
+
+
+GAUSSIAN_INTERCEPT = GenConfig(design=Gaussian(0.0, 1.0), truth_link=LinkKind.LOGIT,
+                               beta0=0.4, beta1=1.0, n=80)
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("cfg", [EXAMPLE_ONE, GAUSSIAN_INTERCEPT])
+    def test_generate_dataset_is_row_zero(self, cfg):
+        for r in (0, 3):
+            x, y = _draw(cfg, 7, (r,), 5)
+            data = generate_dataset(cfg, seed=7, replicate=r)
+            np.testing.assert_array_equal(data.response, y[0])
+            np.testing.assert_array_equal(data.predictors[:, 0],
+                                          np.broadcast_to(x, y.shape)[0])
+            assert not np.array_equal(y[0], y[1])
+
+    def test_failed_row_dropped_pairwise(self):
+        x, y = _draw(EXAMPLE_ONE, 3, (0,), 12)
+        bad = y.copy()
+        bad[4] = 0.0  # single-valued: both fits of this row fail
+        with_bad = _slope_line(x[:, None], bad, intercept=False)
+        without = _slope_line(x[:, None], np.delete(y, 4, axis=0), intercept=False)
+        assert with_bad[4] == 1 and without[4] == 0
+        assert with_bad[:4] == without[:4]
+
+    def test_matches_per_dataset_fits(self):
+        """The stacked solves give the slopes of one fit_mle per row."""
+        x, y = _draw(GAUSSIAN_INTERCEPT, 4, (1,), 10)
+        theta, tau, _, _, dropped = _slope_line(x[..., None], y, intercept=True)
+        slopes = {
+            link: [fit_mle(ModelSpec(link), Dataset.univariate(x[s], y[s])).coefficients[-1]
+                   for s in range(10)]
+            for link in (LinkKind.LOGIT, LinkKind.PROBIT)
+        }
+        line = ols_simple(slopes[LinkKind.LOGIT], slopes[LinkKind.PROBIT])
+        assert dropped == 0
+        assert theta == pytest.approx(line.theta, abs=1e-9)
+        assert tau == pytest.approx(line.tau, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg", [EXAMPLE_ONE, GAUSSIAN_INTERCEPT])
+    def test_jobs_invariant(self, cfg):
+        a = structural_sim(cfg, R=3, S=6, seed=9, jobs=1)
+        b = structural_sim(cfg, R=3, S=6, seed=9, jobs=2)
+        for field in ("theta_hats", "tau_hats", "rho_hats", "r_squared", "dropped"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def _real_data(n=48, seed=77):

@@ -9,11 +9,16 @@ from linkequiv import (
     ArgumentError,
     Dataset,
     FitResult,
+    Gaussian,
+    GenConfig,
     LinkKind,
     ModelSpec,
+    NumericalError,
     SeparationError,
     cdf,
     fit_mle,
+    fit_stack,
+    generate_dataset,
     information_criteria,
     log_likelihood,
     observed_information,
@@ -232,6 +237,168 @@ class TestFitMle:
         info = observed_information(spec, result.coefficients, data)
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         assert np.all(np.abs(result.coefficients - beta_true) <= 3.0 * se)
+
+
+def random_stack(stream, link, S=6, n=60, p=2, shared=True, intercept=True):
+    """S response rows drawn from one link over a shared (n, p) predictor
+    matrix or an (S, n, p) stack of them, every row with both classes."""
+    P = stream.normal(size=(n, p) if shared else (S, n, p))
+    beta = stream.normal(scale=0.6, size=(S, p))
+    eta = (P @ beta[..., None])[..., 0] + (0.3 if intercept else 0.0)
+    Y = (stream.random((S, n)) < cdf(link, eta)).astype(float)
+    Y[:, 0], Y[:, 1] = 0.0, 1.0
+    return ModelSpec(link, intercept=intercept), P, Y
+
+
+def row_dataset(P, Y, i):
+    return Dataset(P if P.ndim == 2 else P[i], Y[i])
+
+
+def reference_fit(spec, data, tol=1e-8, max_iter=100):
+    """Per-dataset Newton ascent with step halving and a gradient fallback,
+    written loop by loop on the public likelihood functions: the reference
+    the stacked solver must reproduce.  Returns (beta, iterations)."""
+    k = spec.coefficient_count(data.p)
+    beta = np.zeros(k)
+    ll = log_likelihood(spec, beta, data)
+    iterations = 0
+    for _ in range(max_iter):
+        g = score(spec, beta, data)
+        if np.max(np.abs(g), initial=0.0) <= tol:
+            break
+        H = observed_information(spec, beta, data) + 1e-10 * np.eye(k)
+        direction = np.linalg.solve(H, g)
+        if not np.all(np.isfinite(direction)) or float(g @ direction) <= 0.0:
+            direction = g
+        step = 1.0
+        for _ in range(31):
+            candidate = beta + step * direction
+            candidate_ll = log_likelihood(spec, candidate, data)
+            if candidate_ll >= ll:
+                break
+            step *= 0.5
+        else:
+            break
+        if np.all(candidate == beta):
+            break
+        beta, ll = candidate, candidate_ll
+        iterations += 1
+    return beta, iterations
+
+
+class TestFitStack:
+    def test_one_row_matches_reference_loop(self):
+        """Includes the stall path (on the gaussian draw with seed 2 the
+        compit fit ends after hundreds of step halvings) and the gradient
+        fallback."""
+        cfg = GenConfig(Gaussian(0.0, 2.0), LinkKind.CAUCHIT, beta0=1.0, beta1=2.0, n=500)
+        problems = [(ModelSpec(link), generate_dataset(cfg, seed=2, replicate=0))
+                    for link in ALL_LINKS]
+        for i, link in enumerate(ALL_LINKS):
+            spec, _, data = random_problem(substream(306, i), link, n=80)
+            problems.append((spec, data))
+        # labels follow the sign of x except for far-out flipped ones: the
+        # cauchit information turns indefinite and the gradient fallback runs
+        stream = substream(900, 7)
+        x = stream.normal(size=30)
+        y = (x > 0).astype(float)
+        flip = stream.random(30) < 0.1
+        y[flip] = 1.0 - y[flip]
+        x[flip] *= 8.0
+        problems.append((ModelSpec(LinkKind.CAUCHIT), Dataset.univariate(x, y)))
+        for spec, data in problems:
+            beta, iterations = reference_fit(spec, data)
+            result = fit_mle(spec, data)
+            np.testing.assert_array_equal(result.coefficients, beta)
+            assert result.iterations == iterations
+
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_rows_match_single_fits(self, shared, intercept):
+        for i, link in enumerate(ALL_LINKS):
+            stream = substream(301, i, int(shared), int(intercept))
+            spec, P, Y = random_stack(stream, link, shared=shared, intercept=intercept)
+            stack = fit_stack(spec, P, Y)
+            assert stack.ok.all()
+            for r in range(Y.shape[0]):
+                single = fit_mle(spec, row_dataset(P, Y, r))
+                assert np.max(np.abs(stack.coefficients[r] - single.coefficients)) <= 1e-7
+                assert stack.iterations[r] == single.iterations
+                assert stack.converged[r] == single.converged
+                assert stack.loglik[r] == pytest.approx(single.loglik, abs=1e-9)
+
+    def test_single_valued_row_is_dropped_alone(self):
+        spec, P, Y = random_stack(substream(302), LinkKind.PROBIT, S=5)
+        base = fit_stack(spec, P, Y)
+        bad = Y.copy()
+        bad[2] = 1.0
+        stack = fit_stack(spec, P, bad)
+        assert isinstance(stack.errors[2], SeparationError)
+        assert np.all(np.isnan(stack.coefficients[2]))
+        np.testing.assert_array_equal(stack.ok, [True, True, False, True, True])
+        keep = stack.ok
+        np.testing.assert_array_equal(stack.coefficients[keep], base.coefficients[keep])
+        np.testing.assert_array_equal(stack.loglik[keep], base.loglik[keep])
+
+    def test_singular_information_row_is_dropped_alone(self):
+        # two identical columns this large make the ridge vanish in rounding,
+        # so the damped information of that row is exactly singular
+        spec, P, Y = random_stack(substream(303), LinkKind.LOGIT, S=4, shared=False,
+                                  intercept=False)
+        singular = P.copy()
+        singular[1, :, 1] = singular[1, :, 0] = 1e5 * P[1, :, 0]
+        stack = fit_stack(spec, singular, Y)
+        assert isinstance(stack.errors[1], NumericalError)
+        keep = np.array([True, False, True, True])
+        np.testing.assert_array_equal(stack.ok, keep)
+        rest = fit_stack(spec, P[keep], Y[keep])
+        np.testing.assert_array_equal(stack.coefficients[keep], rest.coefficients)
+
+    def test_non_finite_information_row_is_dropped_alone(self):
+        spec, P, Y = random_stack(substream(304), LinkKind.CAUCHIT, S=3, shared=False)
+        huge = P.copy()
+        huge[0] *= 1e160
+        with np.errstate(over="ignore"):
+            stack = fit_stack(spec, huge, Y)
+        assert isinstance(stack.errors[0], NumericalError)
+        rest = fit_stack(spec, P[1:], Y[1:])
+        np.testing.assert_array_equal(stack.coefficients[1:], rest.coefficients)
+
+    def test_single_fit_raises_the_row_error(self):
+        x = np.arange(1.0, 41.0)
+        data = Dataset(np.stack([x, x], axis=1) * 1e5, (x % 3 == 0).astype(float))
+        with pytest.raises(NumericalError):
+            fit_mle(ModelSpec(LinkKind.LOGIT, intercept=False), data)
+
+    def test_trace_never_decreases_through_line_searches(self):
+        """On this draw (gaussian x, cauchit truth) the compit fit ends on
+        the stall path after hundreds of step halvings; every one-row
+        trace is non-decreasing and ends at the reported loglik."""
+        cfg = GenConfig(Gaussian(0.0, 2.0), LinkKind.CAUCHIT, beta0=1.0, beta1=2.0, n=500)
+        data = generate_dataset(cfg, seed=2, replicate=0)
+        iterations = {}
+        for link in ALL_LINKS:
+            trace = []
+            result = fit_mle(ModelSpec(link), data, _trace=trace)
+            iterations[link] = result.iterations
+            assert len(trace) == result.iterations + 1
+            assert np.all(np.diff(trace) >= 0.0)
+            assert trace[-1] == result.loglik
+        assert iterations[LinkKind.COMPIT] > 20
+
+    def test_validation(self):
+        spec = ModelSpec(LinkKind.LOGIT)
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, np.ones((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, np.ones((3, 1)), np.zeros((2, 4)))
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, np.ones((3, 4, 1)), np.zeros((2, 4)))
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, np.ones((4, 1)), np.full((2, 4), 0.5))
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, np.full((4, 1), np.inf), np.zeros((2, 4)))
 
 
 class TestInformationCriteria:
