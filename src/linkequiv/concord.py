@@ -7,6 +7,10 @@ A fitted model classifies through the majority rule
 class 1.  Classification therefore depends on the coefficients only
 through the sign of the linear predictor for symmetric links, which is
 why positively proportional probit and logit classifiers never disagree.
+
+``average_test_error`` is the one-link case of the paired-split pass in
+``equiv``: the replicates' training sets are fitted in stacked solves,
+one block of replicates per worker.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ExperimentError, LinkEquivError
-from .fit import Dataset, ModelSpec, fit_mle
+from .errors import ArgumentError, ExperimentError
+from .fit import Dataset, ModelSpec, StackFit
 from .links import LinkKind, cdf
-from .parallel import replicate_map
 from .rng import substream
 
 __all__ = [
@@ -147,14 +150,12 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     return data.subset(train_idx), data.subset(test_idx)
 
 
-def _ate_replicate(args) -> float:
-    spec, data, plan, r = args
-    train, test = split(data, plan, r)
-    try:
-        result = fit_mle(spec, train)
-    except LinkEquivError:
+def _ate_replicate(spec: ModelSpec, fit: StackFit, i: int, test: Dataset) -> float:
+    """Test error of row i of a stacked training fit on its test set; NaN
+    where that row's fit failed."""
+    if fit.errors[i] is not None:
         return float("nan")
-    return test_error(Classifier(spec, result.coefficients), test)
+    return test_error(Classifier(spec, fit.coefficients[i]), test)
 
 
 def average_test_error(
@@ -163,12 +164,12 @@ def average_test_error(
     """Mean zero-one test error over ``plan.replications`` random splits.
 
     Replicates whose training fit fails (separable resample, singular
-    information) are recorded as NaN and excluded from the mean.
+    information) are recorded as NaN and excluded from the mean.  This is
+    the one-link case of the paired-split pass of ``equiv``.
     """
-    if data.response.min() == data.response.max():
-        raise ArgumentError("response must contain both classes")
-    tasks = [(spec, data, plan, r) for r in range(plan.replications)]
-    values = np.asarray(replicate_map(_ate_replicate, tasks, jobs=jobs))
+    from .equiv import _paired_pass  # equiv imports this module
+
+    values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs)[0][:, 0].copy()
     valid = values[np.isfinite(values)]
     if valid.size == 0:
         raise ExperimentError("every replicate failed to fit")

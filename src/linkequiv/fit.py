@@ -469,27 +469,29 @@ def fit_mle(
         warnings.append(WARN_MAX_ITERATIONS)
     if _separation_suspected(spec, beta, data):
         warnings.append(WARN_SEPARATION)
-    k = beta.size
-    n = data.n
+    aic, bic = _aic_bic(ll, beta.size, data.n)
     return FitResult(
         coefficients=beta,
         loglik=ll,
-        aic=2.0 * k - 2.0 * ll,
-        bic=k * math.log(n) - 2.0 * ll,
+        aic=aic,
+        bic=bic,
         iterations=iterations,
         converged=converged,
         grad_norm=float(stack.grad_norm[0]),
         warnings=tuple(warnings),
-        n_obs=n,
+        n_obs=data.n,
     )
+
+
+def _aic_bic(loglik: float, k: int, n: int) -> tuple[float, float]:
+    """AIC = 2k - 2*loglik and BIC = k*log(n) - 2*loglik of a fit with k
+    coefficients on n rows."""
+    return 2.0 * k - 2.0 * loglik, k * math.log(n) - 2.0 * loglik
 
 
 def information_criteria(fit: FitResult, n: int) -> dict[str, float]:
     """AIC = 2k - 2*loglik and BIC = k*log(n) - 2*loglik."""
     if not fit.converged:
         raise ArgumentError("information criteria require a converged fit")
-    k = fit.coefficients.size
-    return {
-        "aic": 2.0 * k - 2.0 * fit.loglik,
-        "bic": k * math.log(n) - 2.0 * fit.loglik,
-    }
+    aic, bic = _aic_bic(fit.loglik, fit.coefficients.size, n)
+    return {"aic": aic, "bic": bic}

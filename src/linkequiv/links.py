@@ -28,7 +28,7 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import DomainError
 
@@ -89,59 +89,6 @@ _CDF = {
 }
 
 
-# Acklam's rational approximation to the inverse normal CDF
-# (relative error < 1.2e-9 before refinement).
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def _acklam_tail(q):
-    num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-    den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-    return num / den
-
-
-def _probit_quantile(v):
-    x = np.empty_like(v)
-    lo = v < _P_LOW
-    hi = v > _P_HIGH
-    mid = ~(lo | hi)
-    if np.any(mid):
-        q = v[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-    if np.any(lo):
-        x[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(v[lo])))
-    if np.any(hi):
-        x[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log1p(-v[hi])))
-    # one Newton step against the exact CDF sharpens the rational
-    # approximation to near machine precision; skipped where the normal
-    # density underflows (|x| > ~37).  The residual Phi(x) - v is formed
-    # on whichever tail has full relative precision: for v > 1/2 it is
-    # (1-v) - Q(x) with Q the upper-tail probability, and 1-v is exact
-    # there by the Sterbenz lemma.
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    safe = pdf > 1e-300
-    upper = v > 0.5
-    residual = np.where(
-        upper,
-        (1.0 - v) - 0.5 * erfc(x / _SQRT2),
-        _probit_cdf(x) - v,
-    )
-    x[safe] -= residual[safe] / pdf[safe]
-    return x
-
-
 def _compit_quantile(v):
     return np.log(-np.log1p(-v))
 
@@ -155,7 +102,7 @@ def _logit_quantile(v):
 
 
 _QUANTILE = {
-    LinkKind.PROBIT: _probit_quantile,
+    LinkKind.PROBIT: ndtri,
     LinkKind.COMPIT: _compit_quantile,
     LinkKind.CAUCHIT: _cauchit_quantile,
     LinkKind.LOGIT: _logit_quantile,

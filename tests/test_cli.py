@@ -64,6 +64,35 @@ class TestGen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the predictive and ic CSVs as written when every replicate and
+# every link was fitted by its own fit_mle call: the stacked paired-split
+# pass must not change a byte.  "thin" has training splits without a
+# positive label, so its CSVs hold failed (empty) cells.
+PAIRED_GEN = {
+    "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
+              "--beta1", 2, "--seed", 3, "--n", 200),
+    "thin": ("--n", 12, "--truth-link", "logit", "--beta0", -3, "--beta1", 1, "--seed", 1),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("data, command, digest", [
+    ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
+    ("gauss", "ic", "5c12d7364b6fde6c1ff342348c086384e77db75a81f6efcceb32268ed7a0a389"),
+    ("thin", "predictive", "54ec14f492e066c024e6d3a2738e0b65372386d8d8187b1b92ac2570699cb472"),
+    ("thin", "ic", "ca24536aa35cab5566890c37144d9aa2832187e47517b7204e0756b635109b1e"),
+])
+def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
+    path = tmp_path / "d.csv"
+    assert run("gen", *PAIRED_GEN[data], "--out", path) == EXIT_OK
+    source = ["--csv", path] if command == "predictive" else [path]
+    out = tmp_path / "o.csv"
+    code = run(command, *source, "-R", 20, "--seed", 4, "--max-invalid-frac", 1,
+               "--jobs", jobs, "--out", out)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestFit:
     def test_round_trips_generated_csv(self, dataset_csv, capsys):
         assert run("fit", dataset_csv) == EXIT_OK
@@ -214,6 +243,21 @@ class TestReplicationFlags:
     def test_max_invalid_frac_bounds_accepted(self, command, frac, dataset_csv, tmp_path):
         argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
         assert run(*argv, "--max-invalid-frac", frac) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["predictive", "ic"])
+@pytest.mark.parametrize("jobs, started", [(64, [3]), (1, [])])
+def test_one_pool_per_paired_command(command, jobs, started, dataset_csv, tmp_path,
+                                     monkeypatch):
+    """All links share one pool: the replicates are cut into one block per
+    worker, not mapped once per link."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
+    argv[argv.index("--links") + 1] = "all"
+    assert run(*argv, "--jobs", jobs) == EXIT_OK
+    assert FakePool.started == started
 
 
 @pytest.mark.parametrize("command", ["predictive", "ic"])

@@ -7,11 +7,13 @@ import pytest
 
 from linkequiv import (
     ArgumentError,
+    Classifier,
     Dataset,
     DegenerateSampleError,
     Equispaced,
     Gaussian,
     GenConfig,
+    LinkEquivError,
     LinkKind,
     ModelSpec,
     SplitPlan,
@@ -23,11 +25,13 @@ from linkequiv import (
     logistic_normal_scale,
     ols_simple,
     predictive_sim,
+    split,
     structural_sim,
     substream,
     summarize,
 )
-from linkequiv.equiv import _draw, _slope_line
+from linkequiv import test_error as zero_one_error
+from linkequiv.equiv import _draw, _paired_pass, _slope_line
 
 EXAMPLE_ONE = GenConfig(
     design=Equispaced(0.0, 1.0),
@@ -341,3 +345,68 @@ class TestIcCompare:
         out = ic_compare(data, [LinkKind.PROBIT, LinkKind.LOGIT], plan)
         gap = np.abs(out[LinkKind.PROBIT].aic - out[LinkKind.LOGIT].aic)
         assert np.all(gap < 3.0)
+
+
+def _thin_data():
+    """Eleven negatives and one positive: every split that leaves the
+    positive out of the training set gives a single-class training fit."""
+    x = np.append(np.linspace(-1.0, 1.0, 11), 2.0)
+    return Dataset.univariate(x, np.append(np.zeros(11), 1.0))
+
+
+def loop_reference(data, links, plan, intercept):
+    """The paired study one replicate and one link at a time: split, then
+    ``fit_mle``, then the test error, AIC and BIC of that fit."""
+    shape = (plan.replications, len(links))
+    te, aic, bic = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+    for r in range(plan.replications):
+        train, test = split(data, plan, r)
+        for j, link in enumerate(links):
+            spec = ModelSpec(link, intercept=intercept)
+            try:
+                fitted = fit_mle(spec, train)
+            except LinkEquivError:
+                continue
+            te[r, j] = zero_one_error(Classifier(spec, fitted.coefficients), test)
+            aic[r, j], bic[r, j] = fitted.aic, fitted.bic
+    return te, aic, bic
+
+
+class TestPairedPass:
+    @pytest.mark.parametrize("data, intercept", [
+        (_real_data(), True),
+        (_real_data(), False),
+        (_real_data(n=90, seed=78), True),
+        (_thin_data(), True),
+    ])
+    def test_matches_loop_reference_bit_for_bit(self, data, intercept):
+        plan = SplitPlan(replications=9, seed=40)
+        links = list(LinkKind)
+        got = _paired_pass(data, links, plan, intercept, jobs=1)
+        for field, want in zip(got, loop_reference(data, links, plan, intercept)):
+            np.testing.assert_array_equal(field, want)
+
+    def test_failed_training_fit_is_nan_in_every_field(self):
+        plan = SplitPlan(replications=9, seed=40)
+        te, aic, bic = _paired_pass(_thin_data(), list(LinkKind), plan, True, jobs=1)
+        failed = np.isnan(te).all(axis=1)
+        assert 0 < failed.sum() < plan.replications
+        for field in (te, aic, bic):
+            assert np.isnan(field[failed]).all()
+            assert np.isfinite(field[~failed]).all()
+
+    @pytest.mark.parametrize("harness, fields", [
+        (predictive_sim, ("values",)),
+        (ic_compare, ("aic", "bic")),
+    ])
+    def test_uneven_blocks_are_jobs_invariant(self, harness, fields):
+        """R = 7 cuts into blocks of 4 + 3 at two jobs and 3 + 2 + 2 at
+        three; every report array must match the one-block run."""
+        data = _real_data()
+        plan = SplitPlan(replications=7, seed=41)
+        one, *others = [harness(data, list(LinkKind), plan, jobs=jobs) for jobs in (1, 2, 3)]
+        for other in others:
+            for link in LinkKind:
+                for field in fields:
+                    np.testing.assert_array_equal(
+                        getattr(other[link], field), getattr(one[link], field))
