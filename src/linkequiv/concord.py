@@ -8,9 +8,12 @@ class 1.  Classification therefore depends on the coefficients only
 through the sign of the linear predictor for symmetric links, which is
 why positively proportional probit and logit classifiers never disagree.
 
-``average_test_error`` is the one-link case of the paired-split pass in
-``equiv``: the replicates' training sets are fitted in stacked solves,
-one block of replicates per worker.
+``_paired_pass`` is the paired-split study behind ``average_test_error``
+and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
+are cut into contiguous blocks, at least one per worker and small enough
+to bound a block's memory; a block draws each of its splits once and
+fits each link to all of its equal-size training sets in one stacked
+solve.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ExperimentError
-from .fit import Dataset, ModelSpec, StackFit
+from .fit import Dataset, ModelSpec, StackFit, _aic_bic, fit_stack
 from .links import LinkKind, cdf
+from .parallel import replicate_map
 from .rng import substream
 
 __all__ = [
@@ -132,6 +136,12 @@ def test_error(c: Classifier, test: Dataset) -> float:
     return float(np.mean(labels != test.response))
 
 
+def _n_train(n: int, plan: SplitPlan) -> int:
+    """Training rows of every split of n rows: ceil(train_fraction * n),
+    kept within [1, n-1]."""
+    return min(max(math.ceil(plan.train_fraction * n - 1e-9), 1), n - 1)
+
+
 def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     """Replicate ``r`` of the random train/test partition.
 
@@ -142,12 +152,19 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     n = data.n
     if n < 3:
         raise ArgumentError("need at least 3 rows to split")
-    n_train = math.ceil(plan.train_fraction * n - 1e-9)
-    n_train = min(max(n_train, 1), n - 1)
+    n_train = _n_train(n, plan)
     perm = substream(plan.seed, r, "split").permutation(n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return data.subset(train_idx), data.subset(test_idx)
+
+
+# Most elements of a block's stacked training model matrix (replicates x
+# training rows x coefficients).  A block's solve holds about a dozen arrays
+# of that size or of its (replicates x rows) part, so this keeps a block
+# near 6 MB however large R is; from about 33,000 training rows on, a
+# block is a single replicate.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _ate_replicate(spec: ModelSpec, fit: StackFit, i: int, test: Dataset) -> float:
@@ -158,6 +175,63 @@ def _ate_replicate(spec: ModelSpec, fit: StackFit, i: int, test: Dataset) -> flo
     return test_error(Classifier(spec, fit.coefficients[i]), test)
 
 
+def _ic_replicate(fit: StackFit, i: int, n: int) -> tuple[float, float]:
+    """AIC and BIC of row i of a stacked training fit on n rows; NaN where
+    that row's fit failed."""
+    if fit.errors[i] is not None:
+        return float("nan"), float("nan")
+    return _aic_bic(float(fit.loglik[i]), fit.coefficients.shape[1], n)
+
+
+def _paired_block(args) -> np.ndarray:
+    """Test error, AIC and BIC, shape (3, B, L), of B consecutive replicates
+    under L links.  Each split is drawn once; every training set has the
+    same number of rows, so each link is fitted to all B of them in one
+    stacked solve."""
+    data, links, plan, intercept, replicates = args
+    splits = [split(data, plan, r) for r in replicates]
+    predictors = np.stack([train.predictors for train, _ in splits])
+    responses = np.stack([train.response for train, _ in splits])
+    n_train = responses.shape[1]
+    out = np.empty((3, len(splits), len(links)))
+    for j, link in enumerate(links):
+        spec = ModelSpec(link, intercept=intercept)
+        fit = fit_stack(spec, predictors, responses)
+        # the per-replicate scorers stay functions of their own because
+        # perfbench/spans.py traces them by name
+        for i, (_, test) in enumerate(splits):
+            out[0, i, j] = _ate_replicate(spec, fit, i, test)
+            out[1:, i, j] = _ic_replicate(fit, i, n_train)
+    return out
+
+
+def _paired_pass(
+    data: Dataset, links, plan: SplitPlan, intercept: bool, jobs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test error, AIC and BIC of every replicate's training fit under
+    every link, as three (R, L) arrays with NaN where a training fit
+    failed.
+
+    The R replicates are cut into contiguous blocks, one
+    ``replicate_map`` task each: at least ``min(jobs, R)`` of them, and
+    more where a block's stacked training data would exceed
+    ``_BLOCK_ELEMENTS``.  Every block is shipped the data once, and a
+    command starts at most one process pool.  Stacked rows never
+    interact, so the result does not depend on the blocking.
+    """
+    if data.response.min() == data.response.max():
+        raise ArgumentError("response must contain both classes")
+    R = plan.replications
+    elements = R * _n_train(data.n, plan) * (data.p + int(intercept))
+    blocks = min(R, max(1, jobs, math.ceil(elements / _BLOCK_ELEMENTS)))
+    tasks = [
+        (data, tuple(links), plan, intercept, range(R * b // blocks, R * (b + 1) // blocks))
+        for b in range(blocks)
+    ]
+    te, aic, bic = np.concatenate(replicate_map(_paired_block, tasks, jobs=jobs), axis=1)
+    return te, aic, bic
+
+
 def average_test_error(
     spec: ModelSpec, data: Dataset, plan: SplitPlan, jobs: int = 1
 ) -> AverageTestError:
@@ -165,10 +239,8 @@ def average_test_error(
 
     Replicates whose training fit fails (separable resample, singular
     information) are recorded as NaN and excluded from the mean.  This is
-    the one-link case of the paired-split pass of ``equiv``.
+    the one-link case of the paired-split pass.
     """
-    from .equiv import _paired_pass  # equiv imports this module
-
     values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs)[0][:, 0].copy()
     valid = values[np.isfinite(values)]
     if valid.size == 0:

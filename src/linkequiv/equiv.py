@@ -7,11 +7,10 @@ estimates are regressed on the logit ones; the OLS slope theta,
 intercept tau, correlation rho and R^2 of each outer replicate are
 collected.  ``predictive_sim`` and ``ic_compare`` replay R paired
 train/test splits (every link sees the identical partition sequence)
-and summarize test errors or AIC/BIC over them.  Both read one
-paired-split pass: the replicates are cut into one contiguous block per
-worker, each block draws its splits once and fits each link to all of
-its training sets in one stacked solve, and the block reports the test
-error, AIC and BIC of every replicate under every link.
+and summarize test errors or AIC/BIC over them.  Both read the
+paired-split pass of ``concord``, which fits each link to a block of
+training sets in one stacked solve and reports the test error, AIC and
+BIC of every replicate under every link.
 
 Everything is keyed by (seed, replicate index) streams, so results do
 not depend on execution order or worker count.  Replicate r of the
@@ -28,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concord import SplitPlan, _ate_replicate, split
+# _ic_replicate is bound here as well because the benchmark tracer
+# (perfbench/spans.py) looks it up as equiv._ic_replicate.
+from .concord import SplitPlan, _ic_replicate, _paired_pass  # noqa: F401
 from .errors import ArgumentError, DegenerateSampleError, ExperimentError
-from .fit import Dataset, ModelSpec, StackFit, _aic_bic, fit_stack
+from .fit import Dataset, ModelSpec, fit_stack
 from .links import LinkKind, cdf
 from .parallel import replicate_map
 from .rng import substream
@@ -322,61 +323,6 @@ def summarize(values) -> SummaryStats:
         min=float(arr.min()),
         max=float(arr.max()),
     )
-
-
-def _ic_replicate(fit: StackFit, i: int, n: int) -> tuple[float, float]:
-    """AIC and BIC of row i of a stacked training fit on n rows; NaN where
-    that row's fit failed."""
-    if fit.errors[i] is not None:
-        return float("nan"), float("nan")
-    return _aic_bic(float(fit.loglik[i]), fit.coefficients.shape[1], n)
-
-
-def _paired_block(args) -> np.ndarray:
-    """Test error, AIC and BIC, shape (3, B, L), of B consecutive replicates
-    under L links.  Each split is drawn once; every training set has the
-    same number of rows, so each link is fitted to all B of them in one
-    stacked solve."""
-    data, links, plan, intercept, replicates = args
-    splits = [split(data, plan, r) for r in replicates]
-    predictors = np.stack([train.predictors for train, _ in splits])
-    responses = np.stack([train.response for train, _ in splits])
-    n_train = responses.shape[1]
-    out = np.empty((3, len(splits), len(links)))
-    for j, link in enumerate(links):
-        spec = ModelSpec(link, intercept=intercept)
-        fit = fit_stack(spec, predictors, responses)
-        # the per-replicate scorers stay functions of their own because
-        # perfbench/spans.py traces them by name
-        for i, (_, test) in enumerate(splits):
-            out[0, i, j] = _ate_replicate(spec, fit, i, test)
-            out[1:, i, j] = _ic_replicate(fit, i, n_train)
-    return out
-
-
-def _paired_pass(
-    data: Dataset, links, plan: SplitPlan, intercept: bool, jobs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The paired-split study behind ``predictive_sim``, ``ic_compare`` and
-    ``average_test_error``: test error, AIC and BIC of every replicate's
-    training fit under every link, as three (R, L) arrays with NaN where a
-    training fit failed.
-
-    The R replicates are cut into ``min(jobs, R)`` contiguous blocks, one
-    ``replicate_map`` task each, so the data is shipped once per block
-    and a command starts at most one process pool.  Stacked rows never
-    interact, so the result does not depend on the blocking.
-    """
-    if data.response.min() == data.response.max():
-        raise ArgumentError("response must contain both classes")
-    R = plan.replications
-    blocks = max(1, min(jobs, R))
-    tasks = [
-        (data, tuple(links), plan, intercept, range(R * b // blocks, R * (b + 1) // blocks))
-        for b in range(blocks)
-    ]
-    te, aic, bic = np.concatenate(replicate_map(_paired_block, tasks, jobs=jobs), axis=1)
-    return te, aic, bic
 
 
 def predictive_sim(

@@ -31,7 +31,10 @@ from linkequiv import (
     summarize,
 )
 from linkequiv import test_error as zero_one_error
-from linkequiv.equiv import _draw, _paired_pass, _slope_line
+from linkequiv import concord
+from linkequiv.concord import _paired_pass
+from linkequiv.equiv import _draw, _slope_line
+from linkequiv.parallel import replicate_map
 
 EXAMPLE_ONE = GenConfig(
     design=Equispaced(0.0, 1.0),
@@ -394,6 +397,27 @@ class TestPairedPass:
         for field in (te, aic, bic):
             assert np.isnan(field[failed]).all()
             assert np.isfinite(field[~failed]).all()
+
+    @pytest.mark.parametrize("budget, blocks", [(1, 9), (3 * 32 * 3, 3)])
+    def test_block_budget_cuts_blocks_not_results(self, monkeypatch, budget, blocks):
+        """A smaller ``_BLOCK_ELEMENTS`` cuts the 9 replicates (32 training
+        rows x 3 coefficients each) into more blocks, down to one
+        replicate per block, and leaves every array unchanged."""
+        data = _real_data()
+        plan = SplitPlan(replications=9, seed=40)
+        want = _paired_pass(data, list(LinkKind), plan, True, jobs=1)
+        tasks_seen = []
+
+        def recording_map(fn, tasks, jobs):
+            tasks_seen.append(len(tasks))
+            return replicate_map(fn, tasks, jobs=jobs)
+
+        monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(concord, "replicate_map", recording_map)
+        got = _paired_pass(data, list(LinkKind), plan, True, jobs=1)
+        assert tasks_seen == [blocks]
+        for field, expected in zip(got, want):
+            np.testing.assert_array_equal(field, expected)
 
     @pytest.mark.parametrize("harness, fields", [
         (predictive_sim, ("values",)),
