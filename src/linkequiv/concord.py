@@ -123,9 +123,10 @@ def predict_prob(c: Classifier, x):
 
 def classify(c: Classifier, x):
     """Majority-rule class label(s); probability one half maps to 1."""
-    pts, single = _points_matrix(c, x)
-    labels = (predict_prob(c, pts) >= 0.5).astype(int)
-    return int(labels[0]) if single else labels
+    prob = predict_prob(c, x)
+    if np.ndim(prob) == 0:
+        return int(prob >= 0.5)
+    return (prob >= 0.5).astype(int)
 
 
 def test_error(c: Classifier, test: Dataset) -> float:

@@ -1,11 +1,13 @@
 """Maximum-likelihood estimation of binary regression coefficients.
 
 One solver fits a stack of S datasets at once: S response rows over a
-shared (n, k) model matrix or over one matrix per row.  ``fit_mle`` is
-its one-row case and ``fit_stack`` the general one; rows never
-interact, so a row ends exactly where it would alone.  Every likelihood
-evaluation is a single eta -> (F, f, f') pass that yields the
-log-likelihood, the score and the observed information of each row.
+shared (n, k) model matrix or over one matrix per row.  ``fit_stack`` is
+its only entry; ``fit_mle`` is ``fit_stack`` on one row, packed into a
+``FitResult``.  Rows never interact, so a row ends exactly where it
+would alone.  Every likelihood evaluation is a single eta -> (F, f, f')
+pass, made of one ``cdf`` call and one call that returns f and f'
+together, and it yields the log-likelihood, the score and the observed
+information of each row.
 
 The method is Newton ascent on the observed information with step
 halving; every accepted step does not decrease the log-likelihood.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, LinkEquivError, NumericalError, SeparationError
-from .links import CLAMP_EPS, LinkKind, cdf, density, density_prime
+from .links import _DENSITIES, CLAMP_EPS, LinkKind, cdf
 
 __all__ = [
     "Dataset",
@@ -204,8 +206,8 @@ def _evaluate(link: LinkKind, X: np.ndarray, Y: np.ndarray, beta: np.ndarray,
     ll = np.where(Y, np.log(pi), np.log1p(-pi)).sum(axis=-1)
     if not derivatives:
         return ll, None, None
-    f = density(link, eta)
-    fp = density_prime(link, eta)
+    # cdf has already checked that eta is finite
+    f, fp = _DENSITIES[link](eta)
     q = pi * (1.0 - pi)
     resid = Y - pi
     # where the CDF clamp pins pi, the likelihood is locally flat in eta,
@@ -266,8 +268,8 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
-            tol: float, max_iter: int, trace: list | None) -> StackFit:
-    """The solver behind ``fit_mle`` and ``fit_stack``, on validated input.
+            tol: float, max_iter: int) -> StackFit:
+    """The solver behind ``fit_stack``, on validated input.
 
     Each pass steps every unconverged row together: one evaluation at
     the full Newton step, then halvings for the rows whose
@@ -298,8 +300,6 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
 
     if idx.size:
         ll[idx], g[idx], H[idx] = evaluate(idx, beta[idx], True)
-    if trace is not None:
-        trace.append(ll.copy())
     for _ in range(max_iter):
         idx = idx[np.abs(g[idx]).max(axis=1, initial=0.0) > tol]
         if not idx.size:
@@ -365,8 +365,6 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
         if stale.any():
             stale = np.flatnonzero(stale)
             _, g[stale], H[stale] = evaluate(stale, beta[stale], True)
-        if trace is not None and idx.size:
-            trace.append(ll.copy())
     grad_norm = np.abs(g).max(axis=1, initial=0.0)
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
@@ -414,7 +412,7 @@ def fit_stack(
     X = P
     if spec.intercept:
         X = np.concatenate([np.ones(P.shape[:-1] + (1,)), P], axis=-1)
-    return _newton(spec.link, X, Y, P.shape[-1] > 0, tol, max_iter, None)
+    return _newton(spec.link, X, Y, P.shape[-1] > 0, tol, max_iter)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -437,29 +435,23 @@ def fit_mle(
     *,
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITERATIONS,
-    _trace: list | None = None,
 ) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
-    This is the one-row case of the stacked solver.  Convergence is
+    This is ``fit_stack`` on the single response row.  Convergence is
     declared when the score infinity-norm drops to ``tol``.  Identical
     inputs produce bit-identical coefficients.  A suspected-separation
     or iteration-cap condition is reported through
     ``FitResult.warnings`` rather than by aborting, so replication
-    harnesses survive pathological resamples.  ``_trace``, when given,
-    receives the log-likelihood after the start and after each step.
+    harnesses survive pathological resamples.
 
     Raises ``SeparationError`` when a model with predictors sees a
     single-valued response, and ``NumericalError`` when the damped
     information matrix is not finite or cannot be solved.
     """
-    trace = None if _trace is None else []
-    stack = _newton(spec.link, design_matrix(spec, data), data.response[None],
-                    data.p > 0, tol, max_iter, trace)
+    stack = fit_stack(spec, data.predictors, data.response[None], tol=tol, max_iter=max_iter)
     if stack.errors[0] is not None:
         raise stack.errors[0]
-    if _trace is not None:
-        _trace.extend(float(values[0]) for values in trace)
     beta = stack.coefficients[0]
     ll = float(stack.loglik[0])
     iterations = int(stack.iterations[0])

@@ -18,6 +18,13 @@ log-likelihoods never evaluate ``log(0)``.  The clamp pins the extreme
 tails (probit beyond |u| ~ 7.94, the compit upper tail beyond u ~ 3.54);
 everywhere else values are accurate to double precision.
 
+The density ``f`` and its slope ``f'`` come from one function per link
+that computes both from shared intermediates (phi for probit, ``exp(t)``
+for compit, ``1 + u^2`` for cauchit, the logistic CDF for logit);
+``density`` and ``density_prime`` return its two halves, and the MLE
+solver takes both from one call, right after ``cdf`` has checked the
+linear predictor.
+
 All functions accept scalars or arrays and are pure, so they are safe
 for unrestricted concurrent use.
 """
@@ -109,55 +116,34 @@ _QUANTILE = {
 }
 
 
-def _probit_density(u):
-    return _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+def _probit_densities(u):
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    return phi, -u * phi
 
 
-def _compit_density(u):
+def _compit_densities(u):
     t = np.minimum(u, _EXP_CAP)
-    return np.exp(t - np.exp(t))
+    e = np.exp(t)
+    f = np.exp(t - e)
+    return f, f * (1.0 - e)
 
 
-def _cauchit_density(u):
-    return 1.0 / (math.pi * (1.0 + u * u))
+def _cauchit_densities(u):
+    s = 1.0 + u * u
+    return 1.0 / (math.pi * s), -2.0 * u / (math.pi * s ** 2)
 
 
-def _logit_density(u):
+def _logit_densities(u):
     lam = _logit_cdf(u)
-    return lam * (1.0 - lam)
+    f = lam * (1.0 - lam)
+    return f, f * (1.0 - 2.0 * lam)
 
 
-_DENSITY = {
-    LinkKind.PROBIT: _probit_density,
-    LinkKind.COMPIT: _compit_density,
-    LinkKind.CAUCHIT: _cauchit_density,
-    LinkKind.LOGIT: _logit_density,
-}
-
-
-def _probit_density_prime(u):
-    return -u * _probit_density(u)
-
-
-def _compit_density_prime(u):
-    t = np.minimum(u, _EXP_CAP)
-    return np.exp(t - np.exp(t)) * (1.0 - np.exp(t))
-
-
-def _cauchit_density_prime(u):
-    return -2.0 * u / (math.pi * (1.0 + u * u) ** 2)
-
-
-def _logit_density_prime(u):
-    lam = _logit_cdf(u)
-    return lam * (1.0 - lam) * (1.0 - 2.0 * lam)
-
-
-_DENSITY_PRIME = {
-    LinkKind.PROBIT: _probit_density_prime,
-    LinkKind.COMPIT: _compit_density_prime,
-    LinkKind.CAUCHIT: _cauchit_density_prime,
-    LinkKind.LOGIT: _logit_density_prime,
+_DENSITIES = {
+    LinkKind.PROBIT: _probit_densities,
+    LinkKind.COMPIT: _compit_densities,
+    LinkKind.CAUCHIT: _cauchit_densities,
+    LinkKind.LOGIT: _logit_densities,
 }
 
 
@@ -186,22 +172,19 @@ def quantile(link: LinkKind, v):
     arr = _finite_array(v, "v")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("v must lie strictly between 0 and 1")
-    out = _QUANTILE[link](np.atleast_1d(arr).astype(float))
-    if np.ndim(v) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _like_input(_QUANTILE[link](arr), v)
 
 
 def density(link: LinkKind, u):
     """The density f(u) = F'(u)."""
     arr = _finite_array(u, "u")
-    return _like_input(_DENSITY[link](arr), u)
+    return _like_input(_DENSITIES[link](arr)[0], u)
 
 
 def density_prime(link: LinkKind, u):
-    """The density slope f'(u), used by the observed information."""
+    """The density slope f'(u), which enters the observed information."""
     arr = _finite_array(u, "u")
-    return _like_input(_DENSITY_PRIME[link](arr), u)
+    return _like_input(_DENSITIES[link](arr)[1], u)
 
 
 def logistic_normal_scale() -> float:

@@ -93,6 +93,20 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of structural CSVs as written while f and f' came from separate
+# link kernels: the equispaced design (one shared x, no intercept) and the
+# gaussian design (per-row x, with an intercept)
+@pytest.mark.parametrize("args, digest", [
+    ((), "9913c562f8d08ddfa663c46c47804e1a08fd1f9bb6db0679d4bbae8fb33b51ea"),
+    (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
+     "b7ee1d473fdad79091b053003a48adf53644a50df58584934b2f669db3ca36b7"),
+])
+def test_structural_bytes_pinned(tmp_path, args, digest):
+    out = tmp_path / "s.csv"
+    assert run("structural", "-R", 3, "-S", 20, *args, "--seed", 5, "--out", out) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestFit:
     def test_round_trips_generated_csv(self, dataset_csv, capsys):
         assert run("fit", dataset_csv) == EXIT_OK

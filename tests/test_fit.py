@@ -55,6 +55,19 @@ def fd_score(spec, beta, data, h=1e-6):
     return g
 
 
+def loglik_trace(spec, data):
+    """The full fit and its log-likelihood after the start and after each
+    step.  Iterates are deterministic, so the fit capped at m steps stops
+    exactly at the full fit's m-th iterate."""
+    full = fit_mle(spec, data)
+    trace = []
+    for m in range(full.iterations + 1):
+        capped = fit_mle(spec, data, max_iter=m)
+        assert capped.iterations == m
+        trace.append(capped.loglik)
+    return full, trace
+
+
 class TestDataset:
     def test_rejects_bad_response(self):
         with pytest.raises(ArgumentError):
@@ -191,8 +204,7 @@ class TestFitMle:
         for i, link in enumerate(ALL_LINKS):
             stream = substream(90, i)
             spec, _, data = random_problem(stream, link, n=80)
-            trace = []
-            fit_mle(spec, data, _trace=trace)
+            _, trace = loglik_trace(spec, data)
             assert len(trace) >= 1
             assert np.all(np.diff(trace) >= 0.0)
 
@@ -379,10 +391,8 @@ class TestFitStack:
         data = generate_dataset(cfg, seed=2, replicate=0)
         iterations = {}
         for link in ALL_LINKS:
-            trace = []
-            result = fit_mle(ModelSpec(link), data, _trace=trace)
+            result, trace = loglik_trace(ModelSpec(link), data)
             iterations[link] = result.iterations
-            assert len(trace) == result.iterations + 1
             assert np.all(np.diff(trace) >= 0.0)
             assert trace[-1] == result.loglik
         assert iterations[LinkKind.COMPIT] > 20

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc, ndtri
 
 from linkequiv import (
     CLAMP_EPS,
@@ -142,6 +143,105 @@ class TestDensity:
             fp = density_prime(link, grid)
             fd = (density(link, grid + h) - density(link, grid - h)) / (2.0 * h)
             np.testing.assert_allclose(fd, fp, rtol=1e-5, atol=1e-10)
+
+
+def _oracle_compit_density(u):
+    t = np.minimum(u, 700.0)
+    return np.exp(t - np.exp(t))
+
+
+def _oracle_compit_density_prime(u):
+    t = np.minimum(u, 700.0)
+    return np.exp(t - np.exp(t)) * (1.0 - np.exp(t))
+
+
+def _oracle_logit_cdf(u):
+    return 0.5 * (1.0 + np.tanh(0.5 * u))
+
+
+def _oracle_logit_density_prime(u):
+    lam = _oracle_logit_cdf(u)
+    return lam * (1.0 - lam) * (1.0 - 2.0 * lam)
+
+
+# one-line formulas for F (before the clamp), f, f' and g = F^-1, each
+# evaluated on its own; the link layer shares intermediates between f and
+# f', and must still reproduce every one of these values bit for bit
+ORACLE = {
+    "cdf": {
+        LinkKind.PROBIT: lambda u: 0.5 * erfc(-u / math.sqrt(2.0)),
+        LinkKind.COMPIT: lambda u: -np.expm1(-np.exp(np.minimum(u, 700.0))),
+        LinkKind.CAUCHIT: lambda u: np.arctan(u) / math.pi + 0.5,
+        LinkKind.LOGIT: _oracle_logit_cdf,
+    },
+    "density": {
+        LinkKind.PROBIT: lambda u: 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * u * u),
+        LinkKind.COMPIT: _oracle_compit_density,
+        LinkKind.CAUCHIT: lambda u: 1.0 / (math.pi * (1.0 + u * u)),
+        LinkKind.LOGIT: lambda u: _oracle_logit_cdf(u) * (1.0 - _oracle_logit_cdf(u)),
+    },
+    "density_prime": {
+        LinkKind.PROBIT: lambda u: -u * (1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * u * u)),
+        LinkKind.COMPIT: _oracle_compit_density_prime,
+        LinkKind.CAUCHIT: lambda u: -2.0 * u / (math.pi * (1.0 + u * u) ** 2),
+        LinkKind.LOGIT: _oracle_logit_density_prime,
+    },
+    "quantile": {
+        LinkKind.PROBIT: ndtri,
+        LinkKind.COMPIT: lambda v: np.log(-np.log1p(-v)),
+        LinkKind.CAUCHIT: lambda v: np.tan(math.pi * (v - 0.5)),
+        LinkKind.LOGIT: lambda v: np.log(v) - np.log1p(-v),
+    },
+}
+FUNCTIONS = {"cdf": cdf, "density": density, "density_prime": density_prime,
+             "quantile": quantile}
+
+
+def _oracle(name, link, x):
+    out = ORACLE[name][link](np.asarray(x, dtype=float))
+    if name == "cdf":
+        out = np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# the body, both clamp tails, the compit exp() cap near 700 and overflow of
+# u*u and exp() out to |u| = 1e300
+U_GRID = np.concatenate([
+    np.linspace(-40.0, 40.0, 321),
+    [0.0, -0.0, 5e-324, 1e-300, 1e-8, 3.54, 7.94, 8.3, 37.5, 38.5],
+    [699.0, 700.0, 700.5, 709.7, 709.8, 710.0, 1e4],
+    np.logspace(-3.0, 300.0, 61),
+])
+U_GRID = np.concatenate([U_GRID, -U_GRID])
+# both ends of the open unit interval, down to subnormals
+V_GRID = np.concatenate([
+    np.linspace(0.001, 0.999, 199),
+    np.logspace(-323.0, -1.0, 81),
+    1.0 - np.logspace(-16.0, -1.0, 31),
+    [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 0.5],
+])
+
+
+class TestMatchesOracleBitForBit:
+    @pytest.mark.parametrize("name", ["cdf", "density", "density_prime", "quantile"])
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_array_and_scalar_input(self, name, link):
+        fn = FUNCTIONS[name]
+        grid = V_GRID if name == "quantile" else U_GRID
+        with np.errstate(all="ignore"):
+            out = fn(link, grid)
+            assert isinstance(out, np.ndarray) and out.shape == grid.shape
+            assert _bits(out) == _bits(_oracle(name, link, grid))
+            block = grid[: grid.size // 2 * 2].reshape(2, -1)
+            assert _bits(fn(link, block)) == _bits(_oracle(name, link, block))
+            for x in grid:
+                value = fn(link, float(x))
+                assert type(value) is float
+                assert _bits(value) == _bits(_oracle(name, link, float(x))), x
 
 
 class TestMonotonicityAndInversion:
