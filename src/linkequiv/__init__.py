@@ -8,8 +8,6 @@ how structurally and predictively interchangeable the links are.
 """
 
 from .approx import (
-    DEFAULT_CONSTANTS,
-    TaylorConstants,
     UnivariateSample,
     beta_cf_cauchit,
     beta_cf_logit,

@@ -6,15 +6,15 @@ for every link, the same sample statistic scaled by a link constant:
     kernel(x, y) = (2*sum(x*y) - sum(x)) / sum(x^2)
 
     logit estimate   = 2 * kernel
-    probit estimate  = c1 / (2*c2) * kernel   (c1 = 0.797885, c2 = 0.31831)
+    probit estimate  = C1 / (2*C2) * kernel   (C1 = 0.797885, C2 = 0.31831)
     cauchit estimate = pi / 2 * kernel
 
-so probit/logit = c1/(4*c2) ~ 0.6267 (often quoted rounded to 0.625) and
-cauchit/logit = pi/4 exactly, independent of the sample.  The constants
-c1 and c2 are kept in their conventional 6- and 5-digit decimal forms
-rather than recomputed as sqrt(2/pi) and 1/pi, so printed ratios match
-the published decimal arithmetic; the analytic identities are exercised
-in the tests.
+so probit/logit = C1/(4*C2) ~ 0.6267 (often quoted rounded to 0.625) and
+cauchit/logit = pi/4 exactly, independent of the sample.  The module
+constants C1 ~ sqrt(2/pi) and C2 ~ 1/pi are kept in their conventional
+6- and 5-digit decimal forms rather than computed from pi, so printed
+ratios match the published decimal arithmetic; the analytic identities
+are exercised in the tests.
 """
 
 from __future__ import annotations
@@ -28,14 +28,16 @@ from .errors import ArgumentError, DegenerateSampleError
 
 __all__ = [
     "UnivariateSample",
-    "TaylorConstants",
-    "DEFAULT_CONSTANTS",
     "shared_kernel",
     "beta_cf_logit",
     "beta_cf_probit",
     "beta_cf_cauchit",
     "ratio_identities",
 ]
+
+# the probit expansion constants, C1 ~ sqrt(2/pi) and C2 ~ 1/pi
+C1 = 0.797885
+C2 = 0.31831
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,6 @@ class UnivariateSample:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class TaylorConstants:
-    """The probit expansion constants c1 ~ sqrt(2/pi), c2 ~ 1/pi."""
-
-    c1: float = 0.797885
-    c2: float = 0.31831
-
-
-DEFAULT_CONSTANTS = TaylorConstants()
-
-
 def shared_kernel(s: UnivariateSample) -> float:
     """(2*sum(x*y) - sum(x)) / sum(x^2), the factor common to all three
     closed-form estimators.
@@ -82,10 +73,8 @@ def shared_kernel(s: UnivariateSample) -> float:
     Evaluated as sum(x*(2y - 1))/sum(x^2), which is the same quantity
     but makes flipping every y to 1-y negate the result exactly.
     """
-    sum_sq = float(np.sum(s.x * s.x))
-    if sum_sq == 0.0:
-        raise DegenerateSampleError("sum of squared predictors is zero")
-    return float(np.sum(s.x * (2.0 * s.y - 1.0))) / sum_sq
+    # UnivariateSample has rejected a zero denominator
+    return float(np.sum(s.x * (2.0 * s.y - 1.0))) / float(np.sum(s.x * s.x))
 
 
 def beta_cf_logit(s: UnivariateSample) -> float:
@@ -93,11 +82,9 @@ def beta_cf_logit(s: UnivariateSample) -> float:
     return 2.0 * shared_kernel(s)
 
 
-def beta_cf_probit(
-    s: UnivariateSample, constants: TaylorConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Closed-form probit estimate, c1/(2*c2) * kernel."""
-    return constants.c1 / (2.0 * constants.c2) * shared_kernel(s)
+def beta_cf_probit(s: UnivariateSample) -> float:
+    """Closed-form probit estimate, C1/(2*C2) * kernel."""
+    return C1 / (2.0 * C2) * shared_kernel(s)
 
 
 def beta_cf_cauchit(s: UnivariateSample) -> float:
@@ -105,11 +92,9 @@ def beta_cf_cauchit(s: UnivariateSample) -> float:
     return 0.5 * math.pi * shared_kernel(s)
 
 
-def ratio_identities(
-    constants: TaylorConstants = DEFAULT_CONSTANTS,
-) -> dict[str, float]:
+def ratio_identities() -> dict[str, float]:
     """The sample-free proportionality constants between the estimators."""
     return {
-        "probit_over_logit": constants.c1 / (4.0 * constants.c2),
+        "probit_over_logit": C1 / (4.0 * C2),
         "cauchit_over_logit": math.pi / 4.0,
     }

@@ -68,9 +68,11 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
     """Load a dataset from a headed CSV file.
 
     All non-response columns become predictors in file order.  Cells
-    must parse as numbers; the response column must be 0/1.
+    must parse as numbers; the response column must be 0/1.  A leading
+    UTF-8 byte-order mark, as spreadsheet exports often write, is
+    skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -159,8 +161,6 @@ def _parse_links(text: str) -> tuple[LinkKind, ...]:
                 f"unknown link {name!r}; choose from "
                 + ", ".join(k.value for k in LinkKind)
             ) from None
-    if not links:
-        raise ArgumentError("no links given")
     if len(set(links)) != len(links):
         raise ArgumentError("each link may be named only once in --links")
     return tuple(links)

@@ -233,16 +233,14 @@ def _paired_pass(
     return te, aic, bic
 
 
-def average_test_error(
-    spec: ModelSpec, data: Dataset, plan: SplitPlan, jobs: int = 1
-) -> AverageTestError:
+def average_test_error(spec: ModelSpec, data: Dataset, plan: SplitPlan) -> AverageTestError:
     """Mean zero-one test error over ``plan.replications`` random splits.
 
     Replicates whose training fit fails (separable resample, singular
     information) are recorded as NaN and excluded from the mean.  This is
     the one-link case of the paired-split pass.
     """
-    values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs)[0][:, 0].copy()
+    values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs=1)[0][:, 0].copy()
     valid = values[np.isfinite(values)]
     if valid.size == 0:
         raise ExperimentError("every replicate failed to fit")
@@ -284,12 +282,6 @@ def sign_disagreement_grid(
         points = substream(seed, "sign-grid").uniform(a, b, s)
     else:
         raise ArgumentError("mode must be 'equispaced' or 'uniform_random'")
-    signs = np.empty((len(links), s), dtype=int)
-    for i, link in enumerate(links):
-        signs[i] = np.where(cdf(link, points) >= 0.5, 1, -1)
-    rates = np.zeros((len(links), len(links)))
-    for i in range(len(links)):
-        for j in range(i + 1, len(links)):
-            rate = float(np.mean(signs[i] != signs[j]))
-            rates[i, j] = rates[j, i] = rate
+    above = np.array([cdf(link, points) >= 0.5 for link in links])
+    rates = (above[:, None] != above[None]).mean(axis=-1)
     return ConcordanceMatrix(links=links, rates=rates)

@@ -23,7 +23,7 @@ draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,18 +52,6 @@ __all__ = [
     "predictive_sim",
     "ic_compare",
 ]
-
-STAT_ORDER = (
-    "median",
-    "mean",
-    "sd",
-    "skewness",
-    "kurtosis",
-    "cv",
-    "iqr",
-    "min",
-    "max",
-)
 
 
 @dataclass(frozen=True)
@@ -127,6 +115,9 @@ class SummaryStats:
         return {name: getattr(self, name) for name in STAT_ORDER}
 
 
+STAT_ORDER = tuple(f.name for f in fields(SummaryStats))
+
+
 @dataclass(frozen=True)
 class OlsLine:
     """Simple least-squares line of ys on xs with its correlation."""
@@ -188,13 +179,11 @@ def _draw(cfg: GenConfig, seed: int, path: tuple, S: int) -> tuple[np.ndarray, n
     return x, y
 
 
-def generate_dataset(cfg: GenConfig, seed: int, replicate) -> Dataset:
-    """Draw one dataset.  ``replicate`` may be an int or a tuple of ints
-    (nested experiments); the result is a pure function of
+def generate_dataset(cfg: GenConfig, seed: int, replicate: int) -> Dataset:
+    """Draw one dataset.  The result is a pure function of
     (cfg, seed, replicate), and is row 0 of that replicate's stacked
     draw."""
-    path = tuple(replicate) if isinstance(replicate, tuple) else (int(replicate),)
-    x, y = _draw(cfg, seed, path, 1)
+    x, y = _draw(cfg, seed, (int(replicate),), 1)
     return Dataset.univariate(x.reshape(-1), y[0])
 
 
@@ -265,11 +254,7 @@ def structural_sim(
         raise ArgumentError("S must be at least 3")
     tasks = [(cfg, S, seed, r) for r in range(R)]
     rows = replicate_map(_structural_replicate, tasks, jobs=jobs)
-    theta = np.array([row[0] for row in rows])
-    tau = np.array([row[1] for row in rows])
-    rho = np.array([row[2] for row in rows])
-    r2 = np.array([row[3] for row in rows])
-    dropped = np.array([row[4] for row in rows], dtype=int)
+    theta, tau, rho, r2, dropped = np.array(rows).T
     valid = theta[np.isfinite(theta)]
     if valid.size == 0:
         raise ExperimentError("every replicate was invalid")
@@ -279,7 +264,7 @@ def structural_sim(
         tau_hats=tau,
         rho_hats=rho,
         r_squared=r2,
-        dropped=dropped,
+        dropped=dropped.astype(int),
         theta_summary=summary,
     )
 
@@ -329,16 +314,16 @@ def predictive_sim(
     data: Dataset,
     links,
     plan: SplitPlan,
-    intercept: bool = True,
     jobs: int = 1,
 ) -> dict[LinkKind, TestErrorReport]:
-    """Paired predictive comparison: every link is fitted and scored on
-    the identical split sequence, and its R test errors are summarized.
+    """Paired predictive comparison: every link, with an intercept, is
+    fitted and scored on the identical split sequence, and its R test
+    errors are summarized.
     """
     links = tuple(links)
     if plan.replications < 2:
         raise ArgumentError("summaries need at least 2 replications")
-    te, _, _ = _paired_pass(data, links, plan, intercept, jobs)
+    te, _, _ = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
     out: dict[LinkKind, TestErrorReport] = {}
     for j, link in enumerate(links):
         values = te[:, j].copy()
@@ -355,15 +340,15 @@ def ic_compare(
     data: Dataset,
     links,
     plan: SplitPlan,
-    intercept: bool = True,
     jobs: int = 1,
 ) -> dict[LinkKind, IcReport]:
-    """AIC/BIC of each per-replicate training fit, per link, using the
-    same paired split sequence as ``predictive_sim``."""
+    """AIC/BIC of each per-replicate training fit, per link with an
+    intercept, using the same paired split sequence as
+    ``predictive_sim``."""
     links = tuple(links)
     if plan.replications < 2:
         raise ArgumentError("summaries need at least 2 replications")
-    _, aic_all, bic_all = _paired_pass(data, links, plan, intercept, jobs)
+    _, aic_all, bic_all = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
     out: dict[LinkKind, IcReport] = {}
     for j, link in enumerate(links):
         aic = aic_all[:, j].copy()

@@ -77,13 +77,10 @@ class Dataset:
             raise ArgumentError("predictors must be a vector or a 2-d matrix")
         if X.shape[0] < 1:
             raise ArgumentError("dataset needs at least one row")
-        if not np.all(np.isfinite(X)):
-            raise ArgumentError("predictor entries must be finite")
         y = np.asarray(self.response, dtype=float)
         if y.shape != (X.shape[0],):
             raise ArgumentError("response length must match the number of rows")
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ArgumentError("response entries must be exactly 0 or 1")
+        _check_entries(X, y)
         names = self.names
         if names is None:
             names = tuple(f"x{j + 1}" for j in range(X.shape[1]))
@@ -168,12 +165,27 @@ class StackFit:
         return np.array([e is None for e in self.errors], dtype=bool)
 
 
+def _check_entries(predictors: np.ndarray, responses: np.ndarray) -> None:
+    """Reject non-finite predictors and responses other than 0/1."""
+    if not np.all(np.isfinite(predictors)):
+        raise ArgumentError("predictor entries must be finite")
+    if not np.all((responses == 0.0) | (responses == 1.0)):
+        raise ArgumentError("response entries must be exactly 0 or 1")
+
+
+def _model_matrix(predictors: np.ndarray, intercept: bool) -> np.ndarray:
+    """Predictors of shape (..., n, p), with a leading column of ones
+    when ``intercept`` is set."""
+    if intercept:
+        ones = np.ones(predictors.shape[:-1] + (1,))
+        return np.concatenate([ones, predictors], axis=-1)
+    return predictors
+
+
 def design_matrix(spec: ModelSpec, data: Dataset) -> np.ndarray:
     """The model matrix, with a leading column of ones when an intercept
     is requested."""
-    if spec.intercept:
-        return np.hstack([np.ones((data.n, 1)), data.predictors])
-    return data.predictors
+    return _model_matrix(data.predictors, spec.intercept)
 
 
 def _checked_beta(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
@@ -268,7 +280,7 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
-            tol: float, max_iter: int) -> StackFit:
+            max_iter: int) -> StackFit:
     """The solver behind ``fit_stack``, on validated input.
 
     Each pass steps every unconverged row together: one evaluation at
@@ -301,7 +313,7 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
     if idx.size:
         ll[idx], g[idx], H[idx] = evaluate(idx, beta[idx], True)
     for _ in range(max_iter):
-        idx = idx[np.abs(g[idx]).max(axis=1, initial=0.0) > tol]
+        idx = idx[np.abs(g[idx]).max(axis=1, initial=0.0) > SOLVER_TOL]
         if not idx.size:
             break
         Hi = H[idx]
@@ -374,7 +386,7 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
         coefficients=beta,
         loglik=ll,
         iterations=iterations,
-        converged=grad_norm <= tol,
+        converged=grad_norm <= SOLVER_TOL,
         grad_norm=grad_norm,
         errors=tuple(errors),
     )
@@ -385,17 +397,17 @@ def fit_stack(
     predictors,
     responses,
     *,
-    tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> StackFit:
     """Fit S datasets in one batched solve.
 
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
-    per row.  Row i ends where ``fit_mle`` ends on dataset i.  A row
-    whose fit fails (single-valued response with predictors, information
-    not finite or singular) gets NaN fields and its exception in
-    ``StackFit.errors``; the other rows are unaffected.
+    per row.  Row i ends where ``fit_mle`` ends on dataset i, and has
+    converged when its score infinity-norm is at most ``SOLVER_TOL``.  A
+    row whose fit fails (single-valued response with predictors,
+    information not finite or singular) gets NaN fields and its
+    exception in ``StackFit.errors``; the other rows are unaffected.
     """
     Y = np.asarray(responses, dtype=float)
     P = np.asarray(predictors, dtype=float)
@@ -405,14 +417,8 @@ def fit_stack(
         P.ndim == 3 and P.shape[0] != Y.shape[0]
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
-    if not np.all(np.isfinite(P)):
-        raise ArgumentError("predictor entries must be finite")
-    if not np.all((Y == 0.0) | (Y == 1.0)):
-        raise ArgumentError("response entries must be exactly 0 or 1")
-    X = P
-    if spec.intercept:
-        X = np.concatenate([np.ones(P.shape[:-1] + (1,)), P], axis=-1)
-    return _newton(spec.link, X, Y, P.shape[-1] > 0, tol, max_iter)
+    _check_entries(P, Y)
+    return _newton(spec.link, _model_matrix(P, spec.intercept), Y, P.shape[-1] > 0, max_iter)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -433,15 +439,14 @@ def fit_mle(
     spec: ModelSpec,
     data: Dataset,
     *,
-    tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
     This is ``fit_stack`` on the single response row.  Convergence is
-    declared when the score infinity-norm drops to ``tol``.  Identical
-    inputs produce bit-identical coefficients.  A suspected-separation
-    or iteration-cap condition is reported through
+    declared when the score infinity-norm drops to ``SOLVER_TOL``.
+    Identical inputs produce bit-identical coefficients.  A
+    suspected-separation or iteration-cap condition is reported through
     ``FitResult.warnings`` rather than by aborting, so replication
     harnesses survive pathological resamples.
 
@@ -449,7 +454,7 @@ def fit_mle(
     single-valued response, and ``NumericalError`` when the damped
     information matrix is not finite or cannot be solved.
     """
-    stack = fit_stack(spec, data.predictors, data.response[None], tol=tol, max_iter=max_iter)
+    stack = fit_stack(spec, data.predictors, data.response[None], max_iter=max_iter)
     if stack.errors[0] is not None:
         raise stack.errors[0]
     beta = stack.coefficients[0]
@@ -483,6 +488,8 @@ def _aic_bic(loglik: float, k: int, n: int) -> tuple[float, float]:
 
 def information_criteria(fit: FitResult, n: int) -> dict[str, float]:
     """AIC = 2k - 2*loglik and BIC = k*log(n) - 2*loglik."""
+    if n < 1:
+        raise ArgumentError("information criteria need n >= 1 rows")
     if not fit.converged:
         raise ArgumentError("information criteria require a converged fit")
     aic, bic = _aic_bic(fit.loglik, fit.coefficients.size, n)

@@ -143,6 +143,24 @@ class TestFit:
         assert run("fit", path) == EXIT_ERROR
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, args, message", [
+        ("x,y\n1.0,1\nabc,0\n", (), "non-numeric cell 'abc'"),
+        ("x,y\n1.0,1\n2.0,0,3.0\n", (), "expected 2 cells"),
+        ("", (), "empty file"),
+        ("x,y\n", (), "no data rows"),
+        ("x,y\n1.0,1\n2.0,0\n", ("--links", "probit,tobit"), "unknown link 'tobit'"),
+        (None, (), "No such file"),
+    ], ids=["non-numeric", "cell-count", "empty", "header-only", "unknown-link",
+            "no-file"])
+    def test_bad_input_exits_one_with_message(self, tmp_path, capsys, text, args, message):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        assert run("fit", path, *args) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestStructural:
     def test_minimal_run_yields_one_row(self, tmp_path):
@@ -304,6 +322,18 @@ class TestConcordance:
     def test_two_point_run(self, tmp_path):
         assert run("concordance", "--s", 2, "--out", tmp_path / "c.csv") == EXIT_OK
 
+    # sha256 of the CSVs as written while each pair's rate came from its own
+    # comparison of +1/-1 sign vectors
+    @pytest.mark.parametrize("args, digest", [
+        ((), "c4721b4511c1e74c8f70ad509921b26f1d368858653473d40d333e8fe0db0d90"),
+        (("--mode", "uniform_random", "--seed", 4, "--s", 5000),
+         "3ca60fd0106ec48cebd576546ded1cbeaa64c5848fe5397d282039bbeb420051"),
+    ])
+    def test_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "c.csv"
+        assert run("concordance", *args, "--out", out) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_random_mode_recorded_and_seeded(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -375,3 +405,15 @@ class TestReadDatasetCsv:
     def test_generated_file_round_trips(self, dataset_csv):
         data = read_dataset_csv(str(dataset_csv), "y")
         assert data.n == 80 and data.names == ("x",)
+
+    @pytest.mark.parametrize("header, row", [
+        ("y,x,z", "1,0.5,2.0"),
+        ("x,y,z", "0.5,1,2.0"),
+    ], ids=["response-first", "predictor-first"])
+    def test_byte_order_mark_skipped(self, tmp_path, header, row):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(f"\ufeff{header}\n{row}\n".encode("utf-8"))
+        data = read_dataset_csv(str(path), "y")
+        assert data.names == ("x", "z")
+        np.testing.assert_array_equal(data.predictors, [[0.5, 2.0]])
+        np.testing.assert_array_equal(data.response, [1.0])

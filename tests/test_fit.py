@@ -445,6 +445,11 @@ class TestInformationCriteria:
         with pytest.raises(ArgumentError):
             information_criteria(self._result(1, -1.0, converged=False), 10)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_row(self, n):
+        with pytest.raises(ArgumentError, match="n >= 1"):
+            information_criteria(self._result(1, -1.0), n)
+
     def test_stored_values_recomputable(self):
         stream = substream(7)
         spec, _, data = random_problem(stream, LinkKind.PROBIT, n=100)
