@@ -67,10 +67,10 @@ def _full(x: float) -> str:
 def read_dataset_csv(path: str, response: str) -> Dataset:
     """Load a dataset from a headed CSV file.
 
-    All non-response columns become predictors in file order.  Cells
-    must parse as numbers; the response column must be 0/1.  A leading
-    UTF-8 byte-order mark, as spreadsheet exports often write, is
-    skipped.
+    All non-response columns become predictors in file order.  Column
+    names must be distinct and cells must parse as numbers; the response
+    column must be 0/1.  A leading UTF-8 byte-order mark, as spreadsheet
+    exports often write, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -79,6 +79,9 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
         except StopIteration:
             raise ArgumentError(f"{path}: empty file (header row required)") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ArgumentError(f"{path}: column {name!r} is named more than once")
         if response not in header:
             raise ArgumentError(f"{path}: no column named {response!r}")
         y_col = header.index(response)

@@ -10,12 +10,17 @@ together, and it yields the log-likelihood, the score and the observed
 information of each row.
 
 The method is Newton ascent on the observed information with step
-halving; every accepted step does not decrease the log-likelihood.
-Whenever the Newton direction fails to point uphill (the cauchit
-likelihood is not concave, so its observed information can be
-indefinite) the iteration falls back to plain gradient ascent with the
-same backtracking rule.  Iterates always start from zero, which keeps
-runs reproducible bit for bit.
+halving: every accepted step does not decrease the log-likelihood, and
+line-search probes evaluate the log-likelihood only.  Where the Newton
+direction does not point uphill (the cauchit information can be
+indefinite) the step falls back to the gradient.  A row stops when its
+Newton decrement g'd, d being the ridge-damped Newton direction, lies
+in [0, ``SOLVER_TOL``].  Near the optimum the full step gains about
+half the decrement, and unlike the score, the decrement does not change
+when a predictor is rescaled (Boyd and Vandenberghe, Convex
+Optimization, 9.5).  That pass's full step is the row's last, taken
+only if the log-likelihood does not fall.  Iterates start from zero,
+which keeps runs reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +49,10 @@ __all__ = [
     "WARN_MAX_ITERATIONS",
 ]
 
-SOLVER_TOL = 1e-8
+# Newton decrement at which a row stops: much below it, the gain of a
+# full step (about half the decrement) falls under the rounding of the
+# log-likelihood
+SOLVER_TOL = 1e-12
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 30
 RIDGE = 1e-10
@@ -148,9 +156,10 @@ class FitResult:
 @dataclass(frozen=True)
 class StackFit:
     """Per-row outcome of a stacked solve over S datasets: coefficients
-    (S, k), log-likelihood, iterations, convergence verdict and score
-    infinity-norm (S,).  ``errors[i]`` holds the exception that stopped
-    row i, whose numeric fields are then NaN, or None."""
+    (S, k), log-likelihood, iterations, convergence verdict (the Newton
+    decrement rule) and score infinity-norm at the returned coefficients
+    (S,).  ``errors[i]`` holds the exception that stopped row i, whose
+    numeric fields are then NaN, or None."""
 
     coefficients: np.ndarray
     loglik: np.ndarray
@@ -261,33 +270,42 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return H[0]
 
 
-def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton directions (H + ridge)^-1 g of a stack, and the mask of rows
-    whose damped information is singular (their direction is NaN)."""
-    damped = H + RIDGE * np.eye(g.shape[1])
-    singular = np.zeros(g.shape[0], dtype=bool)
+def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Newton directions (H + ridge)^-1 g of a stack, and the reason each
+    failed row fails, keyed by its position: its information is not
+    finite, or its damped information is singular.  A failed row's
+    direction is NaN."""
+    k = g.shape[1]
+    damped = H + RIDGE * np.eye(k)
+    finite = np.isfinite(damped).all(axis=(1, 2))
+    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(~finite)}
+    # solve the failed rows as identity systems, so that they cannot
+    # disturb the batched solve of the others
+    damped[~finite] = np.eye(k)
+    rhs = np.where(finite[:, None], g, 0.0)[..., None]
     try:
-        return np.linalg.solve(damped, g[..., None])[..., 0], singular
+        direction = np.linalg.solve(damped, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        pass
-    direction = np.full_like(g, np.nan)
-    for i in range(g.shape[0]):
-        try:
-            direction[i] = np.linalg.solve(damped[i:i + 1], g[i:i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return direction, singular
+        direction = np.empty_like(g)
+        for i in range(g.shape[0]):
+            try:
+                direction[i] = np.linalg.solve(damped[i:i + 1], rhs[i:i + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                failures[i] = "information matrix is singular even after ridge damping"
+    direction[list(failures)] = np.nan
+    return direction, failures
 
 
 def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
             max_iter: int) -> StackFit:
     """The solver behind ``fit_stack``, on validated input.
 
-    Each pass steps every unconverged row together: one evaluation at
-    the full Newton step, then halvings for the rows whose
-    log-likelihood fell, until each row is accepted or gives up.  A row
-    that fails is recorded in ``errors`` and leaves the stack; the
-    others go on exactly as they would alone.
+    Each pass evaluates the log-likelihood, score and information of the
+    rows that moved in the last pass (of all rows in the first), then
+    line-searches every active row together: a probe at the full step,
+    then halvings for the rows whose log-likelihood fell.  A row that
+    fails is recorded in ``errors`` and leaves the stack; the others go
+    on exactly as they would alone.
     """
     Y = Y == 1.0
     S = Y.shape[0]
@@ -300,83 +318,58 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
                 "response takes a single value; coefficients of a model with "
                 "predictors diverge"
             )
-    idx = np.array([i for i in range(S) if errors[i] is None], dtype=int)
+    active = moved = np.array([i for i in range(S) if errors[i] is None], dtype=int)
     beta = np.zeros((S, k))
     ll = np.full(S, np.nan)
     g = np.zeros((S, k))
     H = np.zeros((S, k, k))
     iterations = np.zeros(S, dtype=int)
-
-    def evaluate(rows, b, derivatives):
-        return _evaluate(link, X if shared else X[rows], Y[rows], b, derivatives)
-
-    if idx.size:
-        ll[idx], g[idx], H[idx] = evaluate(idx, beta[idx], True)
-    for _ in range(max_iter):
-        idx = idx[np.abs(g[idx]).max(axis=1, initial=0.0) > SOLVER_TOL]
-        if not idx.size:
+    converged = np.zeros(S, dtype=bool)
+    for passes in range(max_iter + 1):
+        if moved.size:
+            ll[moved], g[moved], H[moved] = _evaluate(
+                link, X if shared else X[moved], Y[moved], beta[moved])
+        if passes == max_iter or not active.size:
             break
-        Hi = H[idx]
-        bad = ~np.isfinite(Hi).all(axis=(1, 2))
-        if bad.any():
-            for i in idx[bad]:
-                errors[i] = NumericalError("observed information is not finite")
-            idx, Hi = idx[~bad], Hi[~bad]
-        gi = g[idx]
-        direction, singular = _directions(Hi, gi)
-        if singular.any():
-            for i in idx[singular]:
-                errors[i] = NumericalError(
-                    "information matrix is singular even after ridge damping"
-                )
-            idx, gi, direction = idx[~singular], gi[~singular], direction[~singular]
-        if not idx.size:
-            break
+        direction, failures = _directions(H[active], g[active])
+        for pos, reason in failures.items():
+            errors[active[pos]] = NumericalError(reason)
+        gone = list(failures)
+        active, direction = np.delete(active, gone), np.delete(direction, gone, axis=0)
+        gi = g[active]
+        decrement = np.sum(gi * direction, axis=1)
         # the cauchit information can be indefinite: where the Newton
         # direction does not point uphill, take the gradient instead
-        uphill = np.isfinite(direction).all(axis=1) & (np.sum(gi * direction, axis=1) > 0.0)
-        if not uphill.all():
-            direction[~uphill] = gi[~uphill]
-        # ties are accepted: near the optimum the true gain rounds below
-        # the float resolution of the log-likelihood, yet the full Newton
-        # step still shrinks the gradient quadratically
-        rows, start, start_ll = idx, beta[idx], ll[idx]
-        Xp, Yp = (X if shared else X[idx]), Y[idx]
-        moved = np.zeros(S, dtype=bool)
-        stale = np.zeros(S, dtype=bool)
+        uphill = np.isfinite(direction).all(axis=1) & (decrement > 0.0)
+        direction[~uphill] = gi[~uphill]
+        last = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
+        converged[active[last]] = True
+        rows, start, start_ll = active, beta[active], ll[active]
+        Xp, Yp = (X if shared else X[active]), Y[active]
+        stepped = np.zeros(S, dtype=bool)
         step = 1.0
-        for halving in range(MAX_HALVINGS + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = start + step * direction
-            c_ll, c_g, c_H = _evaluate(link, Xp, Yp, candidate, halving == 0)
+            c_ll, _, _ = _evaluate(link, Xp, Yp, candidate, derivatives=False)
+            # ties are accepted: near the optimum the true gain rounds
+            # below the float resolution of the log-likelihood
             accepted = c_ll >= start_ll
-            if not accepted.any():
-                step *= 0.5
-                continue
             # an accepted step that moves no coefficient is a stall
             take = accepted & np.any(candidate != start, axis=1)
-            hit = rows[take]
-            beta[hit] = candidate[take]
-            ll[hit] = c_ll[take]
-            moved[hit] = True
-            if halving == 0:
-                g[hit] = c_g[take]
-                H[hit] = c_H[take]
-            else:
-                stale[hit] = True  # probed without derivatives
-            if accepted.all():
+            beta[rows[take]] = candidate[take]
+            stepped[rows[take]] = True
+            keep = ~(accepted | last)
+            if not keep.any():
                 break
-            keep = ~accepted
-            rows, start, start_ll, direction = (
-                rows[keep], start[keep], start_ll[keep], direction[keep])
+            rows, start, start_ll, direction, last = (
+                rows[keep], start[keep], start_ll[keep], direction[keep], last[keep])
             Yp = Yp[keep]
             if not shared:
                 Xp = Xp[keep]
             step *= 0.5
-        idx = np.flatnonzero(moved)
-        iterations[idx] += 1
-        if stale.any():
-            stale = np.flatnonzero(stale)
-            _, g[stale], H[stale] = evaluate(stale, beta[stale], True)
+        moved = np.flatnonzero(stepped)
+        iterations[moved] += 1
+        active = moved[~converged[moved]]
     grad_norm = np.abs(g).max(axis=1, initial=0.0)
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
@@ -386,7 +379,7 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
         coefficients=beta,
         loglik=ll,
         iterations=iterations,
-        converged=grad_norm <= SOLVER_TOL,
+        converged=converged,
         grad_norm=grad_norm,
         errors=tuple(errors),
     )
@@ -404,7 +397,7 @@ def fit_stack(
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
     per row.  Row i ends where ``fit_mle`` ends on dataset i, and has
-    converged when its score infinity-norm is at most ``SOLVER_TOL``.  A
+    converged when its Newton decrement fell in [0, ``SOLVER_TOL``].  A
     row whose fit fails (single-valued response with predictors,
     information not finite or singular) gets NaN fields and its
     exception in ``StackFit.errors``; the other rows are unaffected.
@@ -444,7 +437,9 @@ def fit_mle(
     """Maximize the log-likelihood and return the stationary point.
 
     This is ``fit_stack`` on the single response row.  Convergence is
-    declared when the score infinity-norm drops to ``SOLVER_TOL``.
+    declared when the Newton decrement g'd drops to ``SOLVER_TOL``;
+    ``grad_norm``, the score infinity-norm at the returned coefficients,
+    is a diagnostic only.
     Identical inputs produce bit-identical coefficients.  A
     suspected-separation or iteration-cap condition is reported through
     ``FitResult.warnings`` rather than by aborting, so replication

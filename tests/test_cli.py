@@ -64,10 +64,12 @@ class TestGen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of the predictive and ic CSVs as written when every replicate and
-# every link was fitted by its own fit_mle call: the stacked paired-split
-# pass must not change a byte.  "thin" has training splits without a
-# positive label, so its CSVs hold failed (empty) cells.
+# sha256 of the predictive and ic CSVs.  The gauss predictive pin dates
+# from when every replicate and every link was fitted by its own fit_mle
+# call; the other three were re-derived when fits began to stop on the
+# Newton decrement, and agree with the same run at every --jobs value.
+# "thin" has training splits without a positive label, so its CSVs hold
+# failed (empty) cells.
 PAIRED_GEN = {
     "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
               "--beta1", 2, "--seed", 3, "--n", 200),
@@ -78,9 +80,9 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "5c12d7364b6fde6c1ff342348c086384e77db75a81f6efcceb32268ed7a0a389"),
-    ("thin", "predictive", "54ec14f492e066c024e6d3a2738e0b65372386d8d8187b1b92ac2570699cb472"),
-    ("thin", "ic", "ca24536aa35cab5566890c37144d9aa2832187e47517b7204e0756b635109b1e"),
+    ("gauss", "ic", "7a6ae9474f610cfcd201d4d4ad321120d5b75dd11c94aaee4dda9c5b967350d0"),
+    ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
+    ("thin", "ic", "cd255a5ab5d03c561b7508042adb5891ab325bbf0c896f2579f97fb63abf239a"),
 ])
 def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     path = tmp_path / "d.csv"
@@ -93,13 +95,13 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of structural CSVs as written while f and f' came from separate
-# link kernels: the equispaced design (one shared x, no intercept) and the
-# gaussian design (per-row x, with an intercept)
+# sha256 of structural CSVs as written when fits began to stop on the
+# Newton decrement: the equispaced design (one shared x, no intercept) and
+# the gaussian design (per-row x, with an intercept)
 @pytest.mark.parametrize("args, digest", [
-    ((), "9913c562f8d08ddfa663c46c47804e1a08fd1f9bb6db0679d4bbae8fb33b51ea"),
+    ((), "b2c69a662f6da791f11ce2e985287fe01c4af4ae1f523630daf1cfadfca48043"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "b7ee1d473fdad79091b053003a48adf53644a50df58584934b2f669db3ca36b7"),
+     "b105e3353fad530be96e9573f32c84b6cc6176af9a43f20d01e30521cae975e6"),
 ])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"
@@ -159,6 +161,15 @@ class TestFit:
         assert run("fit", path, *args) == EXIT_ERROR
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("header, name", [("x,y,y", "y"), ("x,x,y", "x")])
+    def test_repeated_column_name_rejected(self, tmp_path, capsys, header, name):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n0.5,1,0\n-1.0,0,1\n2.0,1,1\n-0.3,0,0\n")
+        assert run("fit", path, "--links", "logit") == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"column {name!r} is named more than once" in captured.err
         assert captured.out == ""
 
 
