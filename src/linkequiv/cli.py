@@ -430,8 +430,17 @@ def _add_replication_flags(p, *, reps, out):
                    help="output CSV path (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ArgumentError``, so
+    that ``main`` reports them like any other bad input, with exit status
+    1.  Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linkequiv",
         description="Binary-regression link functions: fitting, closed-form "
                     "estimators and equivalence experiments.",
@@ -511,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except LinkEquivError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ why positively proportional probit and logit classifiers never disagree.
 ``_paired_pass`` is the paired-split study behind ``average_test_error``
 and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
 are cut into contiguous blocks, at least one per worker and small enough
-to bound a block's memory; a block draws each of its splits once and
-fits each link to all of its equal-size training sets in one stacked
-solve.
+to bound a block's memory; a block draws each of its splits once, fits
+each link to all of its equal-size training sets in one stacked solve
+and scores all of its test sets with one ``cdf`` call per link.
 """
 
 from __future__ import annotations
@@ -143,6 +143,13 @@ def _n_train(n: int, plan: SplitPlan) -> int:
     return min(max(math.ceil(plan.train_fraction * n - 1e-9), 1), n - 1)
 
 
+def _split_indices(n: int, plan: SplitPlan, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted training and test row indices of replicate ``r`` of n rows."""
+    n_train = _n_train(n, plan)
+    perm = substream(plan.seed, r, "split").permutation(n)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
 def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     """Replicate ``r`` of the random train/test partition.
 
@@ -150,13 +157,9 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     test set is never empty); the partition is a pure function of
     (plan.seed, r) and identical for every caller.
     """
-    n = data.n
-    if n < 3:
+    if data.n < 3:
         raise ArgumentError("need at least 3 rows to split")
-    n_train = _n_train(n, plan)
-    perm = substream(plan.seed, r, "split").permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    train_idx, test_idx = _split_indices(data.n, plan, r)
     return data.subset(train_idx), data.subset(test_idx)
 
 
@@ -168,41 +171,47 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _ate_replicate(spec: ModelSpec, fit: StackFit, i: int, test: Dataset) -> float:
-    """Test error of row i of a stacked training fit on its test set; NaN
+def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """Test error of each row of a stacked training fit on its own test
+    set, (B, m, p) points with (B, m) labels, scored with one ``cdf``
+    call; NaN where that row's fit failed."""
+    ok = fit.ok
+    beta = fit.coefficients[ok]
+    if spec.intercept:
+        eta = (points[ok] @ beta[:, 1:, None])[..., 0] + beta[:, :1]
+    else:
+        eta = (points[ok] @ beta[:, :, None])[..., 0]
+    out = np.full(ok.shape, np.nan)
+    out[ok] = np.mean((cdf(spec.link, eta) >= 0.5) != labels[ok], axis=1)
+    return out
+
+
+def _ic_replicate(fit: StackFit, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """AIC and BIC of each row of a stacked training fit on n rows; NaN
     where that row's fit failed."""
-    if fit.errors[i] is not None:
-        return float("nan")
-    return test_error(Classifier(spec, fit.coefficients[i]), test)
-
-
-def _ic_replicate(fit: StackFit, i: int, n: int) -> tuple[float, float]:
-    """AIC and BIC of row i of a stacked training fit on n rows; NaN where
-    that row's fit failed."""
-    if fit.errors[i] is not None:
-        return float("nan"), float("nan")
-    return _aic_bic(float(fit.loglik[i]), fit.coefficients.shape[1], n)
+    return _aic_bic(fit.loglik, fit.coefficients.shape[1], n)
 
 
 def _paired_block(args) -> np.ndarray:
     """Test error, AIC and BIC, shape (3, B, L), of B consecutive replicates
-    under L links.  Each split is drawn once; every training set has the
-    same number of rows, so each link is fitted to all B of them in one
-    stacked solve."""
+    under L links.  Each split is drawn once, and one fancy index each
+    gathers all B training sets and all B test sets; every training set
+    has the same number of rows, so each link is fitted to all B of them
+    in one stacked solve and scores all B test sets at once."""
     data, links, plan, intercept, replicates = args
-    splits = [split(data, plan, r) for r in replicates]
-    predictors = np.stack([train.predictors for train, _ in splits])
-    responses = np.stack([train.response for train, _ in splits])
-    n_train = responses.shape[1]
-    out = np.empty((3, len(splits), len(links)))
+    train, test = (np.stack(idx) for idx in zip(
+        *(_split_indices(data.n, plan, r) for r in replicates)))
+    predictors, responses = data.predictors[train], data.response[train]
+    points, labels = data.predictors[test], data.response[test]
+    out = np.empty((3, len(replicates), len(links)))
     for j, link in enumerate(links):
         spec = ModelSpec(link, intercept=intercept)
         fit = fit_stack(spec, predictors, responses)
-        # the per-replicate scorers stay functions of their own because
-        # perfbench/spans.py traces them by name
-        for i, (_, test) in enumerate(splits):
-            out[0, i, j] = _ate_replicate(spec, fit, i, test)
-            out[1:, i, j] = _ic_replicate(fit, i, n_train)
+        # the scorers stay functions of their own because perfbench/spans.py
+        # traces them by name
+        out[0, :, j] = _ate_replicate(spec, fit, points, labels)
+        out[1:, :, j] = _ic_replicate(fit, train.shape[1])
     return out
 
 
@@ -220,6 +229,8 @@ def _paired_pass(
     command starts at most one process pool.  Stacked rows never
     interact, so the result does not depend on the blocking.
     """
+    if data.n < 3:
+        raise ArgumentError("need at least 3 rows to split")
     if data.response.min() == data.response.max():
         raise ArgumentError("response must contain both classes")
     R = plan.replications

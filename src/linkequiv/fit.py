@@ -4,14 +4,20 @@ One solver fits a stack of S datasets at once: S response rows over a
 shared (n, k) model matrix or over one matrix per row.  ``fit_stack`` is
 its only entry; ``fit_mle`` is ``fit_stack`` on one row, packed into a
 ``FitResult``.  Rows never interact, so a row ends exactly where it
-would alone.  Every likelihood evaluation is a single eta -> (F, f, f')
-pass, made of one ``cdf`` call and one call that returns f and f'
-together, and it yields the log-likelihood, the score and the observed
-information of each row.
+would alone.
+
+The likelihood is exact: a likelihood pass evaluates each observation's
+term log F(eta) or log(1 - F(eta)) in log space, with no clamp; for the
+symmetric links that is log F(t) at t = (2y - 1)*eta, one transcendental
+per element (see ``links``).  A derivative pass turns the per-element
+arrays that a likelihood pass left into the score and the observed
+information, with no second eta, F or log evaluation.
 
 The method is Newton ascent on the observed information with step
 halving: every accepted step does not decrease the log-likelihood, and
-line-search probes evaluate the log-likelihood only.  Where the Newton
+line-search probes are likelihood passes only.  The solver keeps the
+per-element arrays of each row's accepted point, so the next pass's
+score and information come from the probe that accepted it.  Where the Newton
 direction does not point uphill (the cauchit information can be
 indefinite) the step falls back to the gradient.  A row stops when its
 Newton decrement g'd, d being the ridge-damped Newton direction, lies
@@ -30,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, LinkEquivError, NumericalError, SeparationError
-from .links import _DENSITIES, CLAMP_EPS, LinkKind, cdf
+from .errors import ArgumentError, DomainError, LinkEquivError, NumericalError, SeparationError
+from .links import _LOG_TERMS, _WEIGHTS, LinkKind
 
 __all__ = [
     "Dataset",
@@ -156,16 +162,15 @@ class FitResult:
 @dataclass(frozen=True)
 class StackFit:
     """Per-row outcome of a stacked solve over S datasets: coefficients
-    (S, k), log-likelihood, iterations, convergence verdict (the Newton
-    decrement rule) and score infinity-norm at the returned coefficients
-    (S,).  ``errors[i]`` holds the exception that stopped row i, whose
-    numeric fields are then NaN, or None."""
+    (S, k), and log-likelihood, iterations and convergence verdict (the
+    Newton decrement rule) of shape (S,).  ``errors[i]`` holds the
+    exception that stopped row i, whose numeric fields are then NaN, or
+    None."""
 
     coefficients: np.ndarray
     loglik: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    grad_norm: np.ndarray
     errors: tuple[LinkEquivError | None, ...]
 
     @property
@@ -209,65 +214,76 @@ def _checked_beta(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return b
 
 
-def _evaluate(link: LinkKind, X: np.ndarray, Y: np.ndarray, beta: np.ndarray,
-              derivatives: bool = True):
-    """Log-likelihood of each row of a stack and, with ``derivatives``, its
-    score and observed information, all from one eta -> (F, f, f') pass.
+def _transposed(model_matrix: np.ndarray) -> np.ndarray:
+    """The (..., k, n) layout the evaluator works in: its weighted sums
+    then run along contiguous rows."""
+    return np.ascontiguousarray(np.swapaxes(model_matrix, -1, -2))
 
-    ``X`` is an (n, k) model matrix shared by every row or an (S, n, k)
-    stack of them, ``Y`` holds (S, n) boolean responses and ``beta`` (S, k)
-    coefficients.  Returns ``(ll, g, H)`` of shapes (S,), (S, k) and
-    (S, k, k); ``g`` and ``H`` are None without ``derivatives``.  Every
-    product is a batched matmul, so each row comes out exactly as it
-    would on its own.
+
+def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarray):
+    """Log-likelihood of each row of a stack, and what its derivatives need.
+
+    ``Xt`` is a transposed (k, n) model matrix shared by every row or an
+    (S, k, n) stack of them, ``sign`` holds (S, n) response signs 2y - 1 and
+    ``beta`` (S, k) coefficients.  Returns ``(ll, parts)``: ``ll`` of shape
+    (S,), and ``parts`` the per-element arrays of the link's log terms,
+    the first of them the terms themselves, which ``_derivatives`` turns
+    into the score and information.  Every product is a batched matmul,
+    so each row comes out exactly as it would on its own.
     """
-    eta = (X @ beta[..., None])[..., 0]
-    pi = cdf(link, eta)
-    # y*log(pi) + (1-y)*log(1-pi), term by term
-    ll = np.where(Y, np.log(pi), np.log1p(-pi)).sum(axis=-1)
-    if not derivatives:
-        return ll, None, None
-    # cdf has already checked that eta is finite
-    f, fp = _DENSITIES[link](eta)
-    q = pi * (1.0 - pi)
-    resid = Y - pi
-    # where the CDF clamp pins pi, the likelihood is locally flat in eta,
-    # so those observations contribute nothing to the gradient or the
-    # curvature (chain rule through the clamp)
-    interior = (pi > CLAMP_EPS) & (pi < 1.0 - CLAMP_EPS)
-    u = np.where(interior, resid * f / q, 0.0)
-    w = f * f / q - resid * (fp * q - f * f * (1.0 - 2.0 * pi)) / (q * q)
-    w = np.where(interior, w, 0.0)
-    g = (u[..., None, :] @ X)[..., 0, :]
-    H = np.swapaxes(X, -1, -2) @ (w[..., None] * X)
-    return ll, g, H
+    eta = (beta[:, None, :] @ Xt)[:, 0, :]
+    if not np.isfinite(eta).all():
+        raise DomainError("linear predictor must be finite")
+    parts = _LOG_TERMS[link](eta, sign)
+    return parts[0].sum(axis=-1), parts
 
 
-def _evaluate_one(spec: ModelSpec, beta, data: Dataset, derivatives: bool):
+def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tuple:
+    """Score (S, k) and observed information (S, k, k) of the rows whose
+    ``_likelihood`` pass left ``parts``."""
+    u, w = _WEIGHTS[link](sign, *parts)
+    g = (Xt @ u[:, :, None])[:, :, 0]
+    # where a row's products overflow, +inf and -inf sum to NaN; the
+    # solver then drops that row as having non-finite information
+    with np.errstate(invalid="ignore"):
+        H = (Xt * w[:, None, :]) @ np.swapaxes(Xt, -1, -2)
+    return g, H
+
+
+def _one_row(spec: ModelSpec, beta, data: Dataset):
+    """The transposed model matrix, response signs and coefficients of one
+    dataset as a one-row stack."""
     b = _checked_beta(spec, beta, data)
-    return _evaluate(spec.link, design_matrix(spec, data), data.response[None] == 1.0,
-                     b[None], derivatives)
+    return _transposed(design_matrix(spec, data)), 2.0 * data.response[None] - 1.0, b[None]
 
 
 def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:
     """Bernoulli log-likelihood sum(y*log(pi) + (1-y)*log(1-pi)) with
-    pi = F(eta); finite for any finite beta thanks to the CDF clamp."""
-    ll, _, _ = _evaluate_one(spec, beta, data, derivatives=False)
+    pi = F(eta), each term evaluated in log space without a clamp; it is
+    -inf only where a term overflows the double range."""
+    ll, _ = _likelihood(spec.link, *_one_row(spec, beta, data))
     return float(ll[0])
+
+
+def _score_and_information(spec: ModelSpec, beta, data: Dataset):
+    Xt, sign, b = _one_row(spec, beta, data)
+    _, parts = _likelihood(spec.link, Xt, sign, b)
+    g, H = _derivatives(spec.link, Xt, sign, parts)
+    return g[0], H[0]
 
 
 def score(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     """Gradient of the log-likelihood,
-    sum_i (y_i - pi_i) * f(eta_i) / (pi_i * (1 - pi_i)) * xtilde_i,
-    with clamped observations contributing zero."""
-    _, g, _ = _evaluate_one(spec, beta, data, derivatives=True)
-    return g[0]
+    sum_i (y_i - pi_i) * f(eta_i) / (pi_i * (1 - pi_i)) * xtilde_i, with
+    each weight formed in log space, so it stays exact where pi_i rounds
+    to 0 or 1."""
+    return _score_and_information(spec, beta, data)[0]
 
 
 def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
-    """Negative Hessian of the log-likelihood at ``beta``."""
-    _, _, H = _evaluate_one(spec, beta, data, derivatives=True)
-    return H[0]
+    """Negative Hessian of the log-likelihood at ``beta``, from the same
+    log-space pass as ``score``."""
+    return _score_and_information(spec, beta, data)[1]
 
 
 def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -296,21 +312,26 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
     return direction, failures
 
 
-def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
+def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, has_predictors: bool,
             max_iter: int) -> StackFit:
-    """The solver behind ``fit_stack``, on validated input.
+    """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
+    transposed model matrix, (k, n) or (S, k, n), and ``Y`` the (S, n)
+    responses.
 
-    Each pass evaluates the log-likelihood, score and information of the
-    rows that moved in the last pass (of all rows in the first), then
-    line-searches every active row together: a probe at the full step,
-    then halvings for the rows whose log-likelihood fell.  A row that
-    fails is recorded in ``errors`` and leaves the stack; the others go
-    on exactly as they would alone.
+    A first likelihood pass evaluates every row at zero.  Each Newton
+    pass then turns the log terms that the active rows' current points
+    left into their score and information, and line-searches those rows
+    together: a probe at the full step, then halvings for the rows whose
+    log-likelihood fell.  An accepted probe's log-likelihood and log
+    terms become the row's own, so no point is evaluated twice, and a
+    row that has stopped is not evaluated again.  A row that fails is
+    recorded in ``errors`` and leaves the stack; the others go on
+    exactly as they would alone.
     """
-    Y = Y == 1.0
+    sign = 2.0 * Y - 1.0
     S = Y.shape[0]
-    k = X.shape[-1]
-    shared = X.ndim == 2
+    k = Xt.shape[-2]
+    shared = Xt.ndim == 2
     errors: list[LinkEquivError | None] = [None] * S
     if has_predictors:
         for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
@@ -318,69 +339,74 @@ def _newton(link: LinkKind, X: np.ndarray, Y: np.ndarray, has_predictors: bool,
                 "response takes a single value; coefficients of a model with "
                 "predictors diverge"
             )
-    active = moved = np.array([i for i in range(S) if errors[i] is None], dtype=int)
+    active = np.array([i for i in range(S) if errors[i] is None], dtype=int)
     beta = np.zeros((S, k))
     ll = np.full(S, np.nan)
-    g = np.zeros((S, k))
-    H = np.zeros((S, k, k))
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    for passes in range(max_iter + 1):
-        if moved.size:
-            ll[moved], g[moved], H[moved] = _evaluate(
-                link, X if shared else X[moved], Y[moved], beta[moved])
-        if passes == max_iter or not active.size:
+    ll[active], first = _likelihood(
+        link, Xt if shared else Xt[active], sign[active], beta[active])
+    # the log terms of every row's current point
+    parts = [np.zeros(sign.shape) for _ in first]
+    for kept, new in zip(parts, first):
+        kept[active] = new
+    for _ in range(max_iter):
+        if not active.size:
             break
-        direction, failures = _directions(H[active], g[active])
-        for pos, reason in failures.items():
-            errors[active[pos]] = NumericalError(reason)
-        gone = list(failures)
-        active, direction = np.delete(active, gone), np.delete(direction, gone, axis=0)
-        gi = g[active]
-        decrement = np.sum(gi * direction, axis=1)
+        Xa, sa = (Xt if shared else Xt[active]), sign[active]
+        g, H = _derivatives(link, Xa, sa, [kept[active] for kept in parts])
+        direction, failures = _directions(H, g)
+        if failures:
+            for pos, reason in failures.items():
+                errors[active[pos]] = NumericalError(reason)
+            ok = np.ones(active.size, dtype=bool)
+            ok[list(failures)] = False
+            active, direction, g, sa = active[ok], direction[ok], g[ok], sa[ok]
+            if not shared:
+                Xa = Xa[ok]
+        decrement = np.sum(g * direction, axis=1)
         # the cauchit information can be indefinite: where the Newton
         # direction does not point uphill, take the gradient instead
         uphill = np.isfinite(direction).all(axis=1) & (decrement > 0.0)
-        direction[~uphill] = gi[~uphill]
+        direction[~uphill] = g[~uphill]
         last = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
         converged[active[last]] = True
-        rows, start, start_ll = active, beta[active], ll[active]
-        Xp, Yp = (X if shared else X[active]), Y[active]
+        rows, start, start_ll, Xp, sp = active, beta[active], ll[active], Xa, sa
         stepped = np.zeros(S, dtype=bool)
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = start + step * direction
-            c_ll, _, _ = _evaluate(link, Xp, Yp, candidate, derivatives=False)
+            c_ll, c_parts = _likelihood(link, Xp, sp, candidate)
             # ties are accepted: near the optimum the true gain rounds
             # below the float resolution of the log-likelihood
             accepted = c_ll >= start_ll
             # an accepted step that moves no coefficient is a stall
             take = accepted & np.any(candidate != start, axis=1)
             beta[rows[take]] = candidate[take]
+            ll[rows[take]] = c_ll[take]
+            for kept, new in zip(parts, c_parts):
+                kept[rows[take]] = new[take]
             stepped[rows[take]] = True
             keep = ~(accepted | last)
             if not keep.any():
                 break
             rows, start, start_ll, direction, last = (
                 rows[keep], start[keep], start_ll[keep], direction[keep], last[keep])
-            Yp = Yp[keep]
+            sp = sp[keep]
             if not shared:
                 Xp = Xp[keep]
             step *= 0.5
         moved = np.flatnonzero(stepped)
         iterations[moved] += 1
         active = moved[~converged[moved]]
-    grad_norm = np.abs(g).max(axis=1, initial=0.0)
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
     ll[failed] = np.nan
-    grad_norm[failed] = np.nan
     return StackFit(
         coefficients=beta,
         loglik=ll,
         iterations=iterations,
         converged=converged,
-        grad_norm=grad_norm,
         errors=tuple(errors),
     )
 
@@ -411,7 +437,8 @@ def fit_stack(
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    return _newton(spec.link, _model_matrix(P, spec.intercept), Y, P.shape[-1] > 0, max_iter)
+    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y,
+                   P.shape[-1] > 0, max_iter)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -469,7 +496,7 @@ def fit_mle(
         bic=bic,
         iterations=iterations,
         converged=converged,
-        grad_norm=float(stack.grad_norm[0]),
+        grad_norm=float(np.abs(score(spec, beta, data)).max(initial=0.0)),
         warnings=tuple(warnings),
         n_obs=data.n,
     )

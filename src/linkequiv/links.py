@@ -13,17 +13,28 @@ cauchit     arctan(u)/pi + 1/2          tan(pi*(v - 1/2))
 logit       1 / (1 + exp(-u))           log(v / (1 - v))
 ==========  ==========================  ==========================
 
-CDF outputs are clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]`` so downstream
-log-likelihoods never evaluate ``log(0)``.  The clamp pins the extreme
-tails (probit beyond |u| ~ 7.94, the compit upper tail beyond u ~ 3.54);
-everywhere else values are accurate to double precision.
+CDF outputs are clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``.  The clamp
+pins the extreme tails (probit beyond |u| ~ 7.94, the compit upper tail
+beyond u ~ 3.54) of the public CDF, of ``gen`` and of the classifier;
+everywhere else values are accurate to double precision.  The
+likelihood does not use the clamp.
 
 The density ``f`` and its slope ``f'`` come from one function per link
 that computes both from shared intermediates (phi for probit, ``exp(t)``
 for compit, ``1 + u^2`` for cauchit, the logistic CDF for logit);
-``density`` and ``density_prime`` return its two halves, and the MLE
-solver takes both from one call, right after ``cdf`` has checked the
-linear predictor.
+``density`` and ``density_prime`` return its two halves.
+
+The MLE solver reads two private functions per link.  ``_LOG_TERMS``
+maps a linear predictor eta and the response sign s = 2y - 1 to each
+observation's exact log-likelihood term, log F(eta) where y = 1 and
+log(1 - F(eta)) where y = 0, with no clamp.  For the symmetric links
+1 - F(eta) = F(-eta), so the term is log F(t) at t = s*eta, one
+transcendental per element.  ``_WEIGHTS`` turns what that pass kept
+into the score weight u = dl/deta and the information weight
+w = -d2l/deta2, so the solver never evaluates eta, F or the log twice
+for one point.  Both stay finite and accurate in both tails, out to
+|eta| = 1e300; only compit caps eta at 700 inside ``exp``, as its CDF
+does.
 
 All functions accept scalars or arrays and are pure, so they are safe
 for unrestricted concurrent use.
@@ -35,7 +46,7 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, log_ndtr, ndtri
 
 from .errors import DomainError
 
@@ -53,6 +64,8 @@ CLAMP_EPS = 1e-15
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_INV_SQRT_2PI = -0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 # exp() overflows past ~709.8; anything this large is saturated anyway
 _EXP_CAP = 700.0
@@ -144,6 +157,127 @@ _DENSITIES = {
     LinkKind.COMPIT: _compit_densities,
     LinkKind.CAUCHIT: _cauchit_densities,
     LinkKind.LOGIT: _logit_densities,
+}
+
+
+# Log-likelihood terms and their eta-derivatives.  Each _LOG_TERMS entry
+# maps (eta, s) to a tuple whose first array is the per-element term and
+# whose other arrays are what the link's _WEIGHTS entry needs besides s;
+# the solver keeps the tuple of every accepted point, so the weights cost
+# no second pass over eta.  With lam = f(t)/F(t), a symmetric link's
+# term log F(t) has u = s*lam and w = lam*(lam - f'(t)/f(t)).
+
+# The probit lam = phi(t)/Phi(t) is exp(log phi(t) - term).  Below
+# t = -5, where lam + t ~ -1/t cancels, both come from the continued
+# fraction lam + t = 1/(z + 2/(z + 3/(z + ...))), z = -t, whose first 32
+# levels are exact to double precision there.
+_PROBIT_TAIL = -5.0
+_MILLS_LEVELS = 32
+
+
+def _probit_log_terms(eta, s):
+    t = s * eta
+    return log_ndtr(t), t
+
+
+def _probit_weights(s, term, t):
+    lam = np.exp(_LOG_INV_SQRT_2PI - 0.5 * t * t - term)
+    lam_t = lam + t
+    tail = t < _PROBIT_TAIL
+    if tail.any():
+        z = -t[tail]
+        acc = np.zeros_like(z)
+        for level in range(_MILLS_LEVELS, 1, -1):
+            acc = level / (z + acc)
+        lam_t[tail] = 1.0 / (z + acc)
+        lam[tail] = z + lam_t[tail]
+    # f'/f = -t
+    return s * lam, lam * lam_t
+
+
+def _logit_log_terms(eta, s):
+    # log F(t) = -log(1 + exp(-t)), written overflow-free
+    t = s * eta
+    return (-(np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))),)
+
+
+def _logit_weights(s, term):
+    # lam = 1 - F(t) and f'/f = 1 - 2F(t), so w = F(t) * lam
+    lam = -np.expm1(term)
+    return s * lam, np.exp(term) * lam
+
+
+def _cauchit_log_terms(eta, s):
+    t = s * eta
+    # b = pi*F(-|t|) is exact in both tails, where arctan(t)/pi + 1/2 is not;
+    # a = pi*F(t)
+    b = np.arctan2(1.0, np.abs(t))
+    lower = t < 0.0
+    a = np.where(lower, b, math.pi - b)
+    return np.where(lower, np.log(b) - _LOG_PI, np.log1p(b * (-1.0 / math.pi))), t, a
+
+
+def _cauchit_weights(s, term, t, a):
+    # lam = 1/((1 + t^2) a) and f'/f = -2t/(1 + t^2) = -2ta*lam; w can be
+    # negative, so the cauchit information can be indefinite
+    ta = t * a
+    lam = 1.0 / (a + t * ta)
+    return s * lam, lam * (lam * (1.0 + 2.0 * ta))
+
+
+# log F(eta) = log(1 - exp(-e)), e = exp(eta), keeps full relative
+# precision as log1p(-exp(-e)) above e = log 2 and as log(-expm1(-e))
+# below it; each form sees e clipped to its own range, so that neither
+# takes log(0).  Below eta = -40, log F(eta) equals eta to double
+# precision.
+_LOG2 = math.log(2.0)
+_COMPIT_LOW = -40.0
+_COMPIT_LOW_EXP = math.exp(_COMPIT_LOW)
+# below e = 0.05, lam - 1 + e = e/2 + e^2/12 - e^4/720 + e^6/30240 + ...
+# (lam = e/expm1(e), the Bernoulli series) replaces the cancelling form
+_COMPIT_SERIES = 0.05
+
+
+def _compit_log_terms(eta, s):
+    eta = np.minimum(eta, _EXP_CAP)
+    ne = -np.exp(eta)
+    upper = np.log1p(-np.exp(np.minimum(ne, -_LOG2)))
+    lower = np.log(-np.expm1(np.minimum(ne, -_COMPIT_LOW_EXP)))
+    log_f = np.where(ne < -_LOG2, upper, lower)
+    low = eta < _COMPIT_LOW
+    if low.any():
+        log_f[low] = eta[low]
+    # log(1 - F) = -e
+    return np.where(s > 0.0, log_f, ne), eta, ne
+
+
+def _compit_weights(s, term, eta, ne):
+    one = s > 0.0
+    # f/F where y = 1; where y = 0 it is about e and stays finite
+    lam = np.exp(eta + ne - term)
+    # f'/f = 1 - e
+    gap = lam - 1.0 - ne
+    small = one & (ne > -_COMPIT_SERIES)
+    if small.any():
+        x = -ne[small]
+        x2 = x * x
+        gap[small] = x * (0.5 + x * (1.0 / 12.0 + x2 * (-1.0 / 720.0 + x2 / 30240.0)))
+    # where y = 0 the term is -e: u = -e and w = e
+    return np.where(one, lam, ne), np.where(one, lam * gap, -ne)
+
+
+_LOG_TERMS = {
+    LinkKind.PROBIT: _probit_log_terms,
+    LinkKind.COMPIT: _compit_log_terms,
+    LinkKind.CAUCHIT: _cauchit_log_terms,
+    LinkKind.LOGIT: _logit_log_terms,
+}
+
+_WEIGHTS = {
+    LinkKind.PROBIT: _probit_weights,
+    LinkKind.COMPIT: _compit_weights,
+    LinkKind.CAUCHIT: _cauchit_weights,
+    LinkKind.LOGIT: _logit_weights,
 }
 
 

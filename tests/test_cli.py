@@ -66,10 +66,11 @@ class TestGen:
 
 # sha256 of the predictive and ic CSVs.  The gauss predictive pin dates
 # from when every replicate and every link was fitted by its own fit_mle
-# call; the other three were re-derived when fits began to stop on the
-# Newton decrement, and agree with the same run at every --jobs value.
-# "thin" has training splits without a positive label, so its CSVs hold
-# failed (empty) cells.
+# call, and the thin one from when fits began to stop on the Newton
+# decrement; the two ic pins were re-derived when the likelihood became
+# exact in log space, without the CDF clamp.  Each agrees with the same
+# run at every --jobs value.  "thin" has training splits without a
+# positive label, so its CSVs hold failed (empty) cells.
 PAIRED_GEN = {
     "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
               "--beta1", 2, "--seed", 3, "--n", 200),
@@ -80,9 +81,9 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "7a6ae9474f610cfcd201d4d4ad321120d5b75dd11c94aaee4dda9c5b967350d0"),
+    ("gauss", "ic", "76717ef73c6481f0b14f451b9aa04bd9813e8c9c62a1c89f317a42b7bebe628d"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
-    ("thin", "ic", "cd255a5ab5d03c561b7508042adb5891ab325bbf0c896f2579f97fb63abf239a"),
+    ("thin", "ic", "faeb873907afa6e13980058e818c5c18fc6403e4363c4326466f6e079d5d3afa"),
 ])
 def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     path = tmp_path / "d.csv"
@@ -95,13 +96,13 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of structural CSVs as written when fits began to stop on the
-# Newton decrement: the equispaced design (one shared x, no intercept) and
-# the gaussian design (per-row x, with an intercept)
+# sha256 of structural CSVs as written when the likelihood became exact
+# in log space: the equispaced design (one shared x, no intercept) and the
+# gaussian design (per-row x, with an intercept)
 @pytest.mark.parametrize("args, digest", [
-    ((), "b2c69a662f6da791f11ce2e985287fe01c4af4ae1f523630daf1cfadfca48043"),
+    ((), "757cf1e8a088944810c06b6fd8bc9dcc93eecafb3aa5eba1600596af2c78bdd6"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "b105e3353fad530be96e9573f32c84b6cc6176af9a43f20d01e30521cae975e6"),
+     "83c4edb567d197d8f01a9d2c86f353a5ebc525f3e4ae31cb424ef673dfc69313"),
 ])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"
@@ -162,6 +163,22 @@ class TestFit:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("structural", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
+        (("tabulate",), "invalid choice: 'tabulate'"),
+    ], ids=["bad-jobs", "unknown-subcommand"])
+    def test_usage_error_exits_one_with_message(self, capsys, argv, message):
+        assert run(*argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("structural", "--help")
+        assert exc.value.code == 0
+        assert "usage: linkequiv structural" in capsys.readouterr().out
 
     @pytest.mark.parametrize("header, name", [("x,y,y", "y"), ("x,x,y", "x")])
     def test_repeated_column_name_rejected(self, tmp_path, capsys, header, name):

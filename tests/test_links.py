@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtri
@@ -16,6 +17,7 @@ from linkequiv import (
     logistic_normal_scale,
     quantile,
 )
+from linkequiv.links import _LOG_TERMS, _WEIGHTS
 
 ALL_LINKS = list(LinkKind)
 SYMMETRIC = [LinkKind.PROBIT, LinkKind.LOGIT, LinkKind.CAUCHIT]
@@ -242,6 +244,103 @@ class TestMatchesOracleBitForBit:
                 value = fn(link, float(x))
                 assert type(value) is float
                 assert _bits(value) == _bits(_oracle(name, link, float(x))), x
+
+
+def _probit_far(x, y):
+    """Term, score weight and information weight of a probit observation
+    with |x| >= 1e4, from the asymptotic Mills ratio
+    R(z) = (1 - 1/z^2 + 3/z^4 - 15/z^6 + 105/z^8)/z, relative error below
+    1e-30 there, so that lam + t = (1 - zR)/R needs no cancelling sum."""
+    t = x if y else -x
+    z = abs(t)
+    inv2 = 1 / z**2
+    R = (1 - inv2 * (1 - inv2 * (3 - inv2 * (15 - 105 * inv2)))) / z
+    if t < 0:
+        lam = 1 / R
+        term = -z * z / 2 - mp.log(2 * mp.pi) / 2 + mp.log(R)
+        w = lam * inv2 * (1 - inv2 * (3 - inv2 * (15 - 105 * inv2))) / R
+    else:
+        tail = mp.npdf(z) * R
+        lam = mp.npdf(z) / (1 - tail)
+        term = mp.log1p(-tail)
+        w = lam * (lam + t)
+    return term, (lam if y else -lam), w
+
+
+def _exact_terms(link, x, y):
+    """log-likelihood term, score weight dl/deta and information weight
+    -d2l/deta2 of one observation, from F, 1 - F, f and f' in mpmath.
+    Working precision is 50 digits plus what the cancellations in these
+    formulas eat: 2*log10|x| digits in the probit lam*(lam + x), and
+    0.44*|x| digits where a logit or compit F or 1 - F is exp(-|x|)
+    against 1; beyond |x| = 800 those values underflow whatever their
+    digits."""
+    if link is LinkKind.COMPIT:
+        x = min(x, 700.0)  # the exp() cap of the link layer
+    if link is LinkKind.PROBIT and abs(x) >= 1e4:
+        with mp.workdps(50):
+            return _probit_far(mp.mpf(x), y)
+    extra = 0.0
+    if link is LinkKind.PROBIT:
+        extra = 2 * math.log10(1 + abs(x))
+    elif link is not LinkKind.CAUCHIT and abs(x) <= 800:
+        extra = 0.44 * abs(x)
+    with mp.workdps(51 + int(extra)):
+        x = mp.mpf(x)
+        if link is LinkKind.PROBIT:
+            F, Q, f = mp.ncdf(x), mp.ncdf(-x), mp.npdf(x)
+            fp = -x * f
+        elif link is LinkKind.COMPIT:
+            e = mp.exp(x)
+            F, Q, f = -mp.expm1(-e), mp.exp(-e), mp.exp(x - e)
+            fp = f * (1 - e)
+        elif link is LinkKind.CAUCHIT:
+            F, Q = mp.atan2(1, -x) / mp.pi, mp.atan2(1, x) / mp.pi
+            f, fp = 1 / (mp.pi * (1 + x * x)), -2 * x / (mp.pi * (1 + x * x) ** 2)
+        else:
+            F, Q = 1 / (1 + mp.exp(-x)), 1 / (1 + mp.exp(x))
+            f = F * Q
+            fp = f * (Q - F)
+        if y:
+            term = mp.log(F) if F < 0.5 else mp.log1p(-Q)
+            return term, f / F, (f / F) ** 2 - fp / F
+        term = mp.log(Q) if Q < 0.5 else mp.log1p(-F)
+        return term, -f / Q, (f / Q) ** 2 + fp / Q
+
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _mismatch(value, exact, rtol):
+    """Whether a float misses the exact value by more than rtol relative.
+    Outside the double range, the overflowed infinity of the right sign is
+    accepted above it, and any value within the smallest normal of it
+    below it."""
+    if abs(exact) > np.finfo(float).max:
+        return not (np.isinf(value) and (value > 0) == (exact > 0))
+    if abs(exact) < _SMALLEST_NORMAL:
+        return abs(value - float(exact)) > _SMALLEST_NORMAL
+    return abs(mp.mpf(value) - exact) > rtol * abs(exact)
+
+
+class TestLogTermsAgainstMpmath:
+    """The solver's per-observation log-likelihood term and its two eta
+    derivatives, exact in both tails on U_GRID out to |eta| = 1e300: no
+    clamp, no log(0), no cancellation.  The largest relative error is
+    about 1.2e-13, at probit and compit points where exp() of a large
+    argument amplifies the rounding of that argument."""
+
+    @pytest.mark.parametrize("y", [1, 0])
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_term_and_weights(self, link, y):
+        s = np.full(U_GRID.shape, 1.0 if y else -1.0)
+        with np.errstate(all="ignore"):
+            parts = _LOG_TERMS[link](U_GRID, s)
+            u, w = _WEIGHTS[link](s, *parts)
+        for i, x in enumerate(U_GRID):
+            exact = _exact_terms(link, float(x), y)
+            for name, value, truth in zip(("term", "u", "w"), (parts[0][i], u[i], w[i]), exact):
+                assert not _mismatch(float(value), truth, 1e-12), (name, float(x), value, truth)
 
 
 class TestMonotonicityAndInversion:
