@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ExperimentError
+from .errors import ArgumentError, ExperimentError, _check_count
 from .fit import Dataset, ModelSpec, StackFit, _aic_bic, fit_stack
 from .links import LinkKind, cdf
 from .parallel import replicate_map
@@ -76,8 +76,7 @@ class SplitPlan:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ArgumentError("train_fraction must lie strictly in (0, 1)")
-        if self.replications < 1:
-            raise ArgumentError("replications must be at least 1")
+        _check_count(self.replications, "replications", 1)
 
 
 @dataclass(frozen=True)

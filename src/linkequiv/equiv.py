@@ -30,7 +30,7 @@ import numpy as np
 # _ic_replicate is bound here as well because the benchmark tracer
 # (perfbench/spans.py) looks it up as equiv._ic_replicate.
 from .concord import SplitPlan, _ic_replicate, _paired_pass  # noqa: F401
-from .errors import ArgumentError, DegenerateSampleError, ExperimentError
+from .errors import ArgumentError, DegenerateSampleError, ExperimentError, _check_count
 from .fit import Dataset, ModelSpec, fit_stack
 from .links import LinkKind, cdf
 from .parallel import replicate_map
@@ -90,8 +90,7 @@ class GenConfig:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ArgumentError("n must be at least 2")
+        _check_count(self.n, "n", 2)
         if not isinstance(self.design, (Equispaced, Gaussian)):
             raise ArgumentError("design must be Equispaced or Gaussian")
 
@@ -248,10 +247,8 @@ def structural_sim(
     Within a replicate, datasets whose logit or probit fit fails are
     dropped pairwise.
     """
-    if R < 1:
-        raise ArgumentError("R must be at least 1")
-    if S < 3:
-        raise ArgumentError("S must be at least 3")
+    _check_count(R, "R", 1)
+    _check_count(S, "S", 3)
     tasks = [(cfg, S, seed, r) for r in range(R)]
     rows = replicate_map(_structural_replicate, tasks, jobs=jobs)
     theta, tau, rho, r2, dropped = np.array(rows).T

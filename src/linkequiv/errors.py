@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the
+check of count arguments that raises one of them."""
+
+import operator
 
 
 class LinkEquivError(Exception):
@@ -27,3 +30,14 @@ class NumericalError(LinkEquivError, ArithmeticError):
 
 class ExperimentError(LinkEquivError, RuntimeError):
     """A replication experiment produced no usable replicates."""
+
+
+def _check_count(value, name: str, minimum: int) -> None:
+    """Raise ``ArgumentError`` unless ``value`` is an integer of at least
+    ``minimum``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer") from None
+    if value < minimum:
+        raise ArgumentError(f"{name} must be at least {minimum}")

@@ -15,18 +15,23 @@ information, with no second eta, F or log evaluation.
 
 The method is Newton ascent on the observed information with step
 halving: every accepted step does not decrease the log-likelihood, and
-line-search probes are likelihood passes only.  The solver keeps the
-per-element arrays of each row's accepted point, so the next pass's
-score and information come from the probe that accepted it.  Where the Newton
-direction does not point uphill (the cauchit information can be
-indefinite) the step falls back to the gradient.  A row stops when its
-Newton decrement g'd, d being the ridge-damped Newton direction, lies
-in [0, ``SOLVER_TOL``].  Near the optimum the full step gains about
-half the decrement, and unlike the score, the decrement does not change
-when a predictor is rescaled (Boyd and Vandenberghe, Convex
-Optimization, 9.5).  That pass's full step is the row's last, taken
-only if the log-likelihood does not fall.  Iterates start from zero,
-which keeps runs reproducible bit for bit.
+line-search probes are likelihood passes only.  The solver is one loop
+over per-row states: each row carries its own point, log terms,
+direction and line-search step, and every pass of the loop probes each
+running row once at its own step, so no row waits for another's
+halvings.  The solver keeps the per-element arrays of each row's
+accepted point, so the row's next score and information come from the
+probe that accepted it.  Where the Newton direction does not point
+uphill (the cauchit information can be indefinite) the step falls back
+to the gradient.  A row stops when its Newton decrement g'd, d being the
+ridge-damped Newton direction, lies in [0, ``SOLVER_TOL``].  Near the
+optimum the full step gains about half the decrement, and unlike the
+score, the decrement does not change when a predictor is rescaled (Boyd
+and Vandenberghe, Convex Optimization, 9.5).  That pass's full step is
+the row's last, taken only if the log-likelihood does not fall.  A row
+whose response takes a single value has no maximum and is refused before
+the loop.  Iterates start from zero, which keeps runs reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -114,7 +119,16 @@ class Dataset:
         return self.predictors.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """The rows picked by a boolean mask of length n or by integer
+        indices."""
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            if idx.shape != (self.n,):
+                raise ArgumentError(f"a row mask needs shape ({self.n},)")
+        elif idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise ArgumentError("rows must be picked by a boolean mask or integer indices")
+        elif not np.all((-self.n <= idx) & (idx < self.n)):
+            raise ArgumentError(f"row indices must lie in [-{self.n}, {self.n})")
         return Dataset(self.predictors[idx], self.response[idx], self.names)
 
     @classmethod
@@ -312,93 +326,90 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
     return direction, failures
 
 
-def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, has_predictors: bool,
-            max_iter: int) -> StackFit:
+def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> StackFit:
     """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
     transposed model matrix, (k, n) or (S, k, n), and ``Y`` the (S, n)
     responses.
 
-    A first likelihood pass evaluates every row at zero.  Each Newton
-    pass then turns the log terms that the active rows' current points
-    left into their score and information, and line-searches those rows
-    together: a probe at the full step, then halvings for the rows whose
-    log-likelihood fell.  An accepted probe's log-likelihood and log
-    terms become the row's own, so no point is evaluated twice, and a
-    row that has stopped is not evaluated again.  A row that fails is
-    recorded in ``errors`` and leaves the stack; the others go on
-    exactly as they would alone.
+    A first likelihood pass evaluates every row at zero.  Each row then
+    carries its own line-search step, 0 while it sits at a new point.
+    Every pass of the loop first turns the log terms that the rows at
+    step 0 left into their score, information and direction, and sets
+    their step to 1; then it probes every running row at its own step in
+    one likelihood pass.  An accepted probe that moves the row becomes
+    its point, with its log-likelihood and log terms, so no point is
+    evaluated twice; a rejected one halves the row's step.  A row stops
+    after the probe of its decrement-rule pass, after an accepted probe
+    that moves no coefficient, when its halvings run out or at
+    ``max_iter`` iterations, and is not evaluated again.  A row that fails
+    is recorded in ``errors``.  Rows never wait for each other, so the
+    stack makes as many likelihood passes as its slowest row would alone.
     """
     sign = 2.0 * Y - 1.0
-    S = Y.shape[0]
-    k = Xt.shape[-2]
-    shared = Xt.ndim == 2
+    S, k = Y.shape[0], Xt.shape[-2]
+
+    def stack_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The model matrices and response signs of ``rows``; with every
+        row, the stack's own arrays, uncopied."""
+        if rows.size == S:
+            return Xt, sign
+        return (Xt if Xt.ndim == 2 else Xt[rows]), sign[rows]
+
     errors: list[LinkEquivError | None] = [None] * S
-    if has_predictors:
+    if k:
         for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
-            errors[i] = SeparationError(
-                "response takes a single value; coefficients of a model with "
-                "predictors diverge"
-            )
-    active = np.array([i for i in range(S) if errors[i] is None], dtype=int)
+            errors[i] = SeparationError("response takes a single value; coefficients diverge")
+    running = np.array([e is None for e in errors])
     beta = np.zeros((S, k))
-    ll = np.full(S, np.nan)
+    direction = np.zeros((S, k))
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    ll[active], first = _likelihood(
-        link, Xt if shared else Xt[active], sign[active], beta[active])
+    step = np.zeros(S)
+    ll = np.full(S, np.nan)
+    rows = np.flatnonzero(running)
+    ll[rows], first = _likelihood(link, *stack_of(rows), beta[rows])
     # the log terms of every row's current point
     parts = [np.zeros(sign.shape) for _ in first]
     for kept, new in zip(parts, first):
-        kept[active] = new
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        Xa, sa = (Xt if shared else Xt[active]), sign[active]
-        g, H = _derivatives(link, Xa, sa, [kept[active] for kept in parts])
-        direction, failures = _directions(H, g)
-        if failures:
+        kept[rows] = new
+    running &= max_iter > 0
+    while running.any():
+        fresh = np.flatnonzero(running & (step == 0.0))
+        if fresh.size:
+            g, H = _derivatives(link, *stack_of(fresh), [kept[fresh] for kept in parts])
+            newton, failures = _directions(H, g)
             for pos, reason in failures.items():
-                errors[active[pos]] = NumericalError(reason)
-            ok = np.ones(active.size, dtype=bool)
-            ok[list(failures)] = False
-            active, direction, g, sa = active[ok], direction[ok], g[ok], sa[ok]
-            if not shared:
-                Xa = Xa[ok]
-        decrement = np.sum(g * direction, axis=1)
-        # the cauchit information can be indefinite: where the Newton
-        # direction does not point uphill, take the gradient instead
-        uphill = np.isfinite(direction).all(axis=1) & (decrement > 0.0)
-        direction[~uphill] = g[~uphill]
-        last = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
-        converged[active[last]] = True
-        rows, start, start_ll, Xp, sp = active, beta[active], ll[active], Xa, sa
-        stepped = np.zeros(S, dtype=bool)
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = start + step * direction
-            c_ll, c_parts = _likelihood(link, Xp, sp, candidate)
-            # ties are accepted: near the optimum the true gain rounds
-            # below the float resolution of the log-likelihood
-            accepted = c_ll >= start_ll
-            # an accepted step that moves no coefficient is a stall
-            take = accepted & np.any(candidate != start, axis=1)
-            beta[rows[take]] = candidate[take]
-            ll[rows[take]] = c_ll[take]
-            for kept, new in zip(parts, c_parts):
-                kept[rows[take]] = new[take]
-            stepped[rows[take]] = True
-            keep = ~(accepted | last)
-            if not keep.any():
-                break
-            rows, start, start_ll, direction, last = (
-                rows[keep], start[keep], start_ll[keep], direction[keep], last[keep])
-            sp = sp[keep]
-            if not shared:
-                Xp = Xp[keep]
-            step *= 0.5
-        moved = np.flatnonzero(stepped)
-        iterations[moved] += 1
-        active = moved[~converged[moved]]
+                errors[fresh[pos]] = NumericalError(reason)
+                running[fresh[pos]] = False
+            decrement = np.sum(g * newton, axis=1)
+            # the cauchit information can be indefinite: where the Newton
+            # direction does not point uphill, take the gradient instead
+            uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
+            direction[fresh] = np.where(uphill[:, None], newton, g)
+            # the decrement rule: this pass's probe is the row's last
+            converged[fresh] = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
+            step[fresh] = 1.0
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            break
+        start = beta[rows]
+        candidate = start + step[rows, None] * direction[rows]
+        c_ll, c_parts = _likelihood(link, *stack_of(rows), candidate)
+        # ties are accepted: near the optimum the true gain rounds below
+        # the float resolution of the log-likelihood
+        accepted = c_ll >= ll[rows]
+        # an accepted step that moves no coefficient is a stall
+        take = accepted & np.any(candidate != start, axis=1)
+        taken = rows[take]
+        beta[taken] = candidate[take]
+        ll[taken] = c_ll[take]
+        for kept, new in zip(parts, c_parts):
+            kept[taken] = new[take]
+        iterations[taken] += 1
+        step[rows] = np.where(take, 0.0, 0.5 * step[rows])
+        halved_out = step[rows] < 0.5 ** MAX_HALVINGS
+        stop = converged[rows] | (~take & (accepted | halved_out)) | (iterations[rows] >= max_iter)
+        running[rows[stop]] = False
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
     ll[failed] = np.nan
@@ -423,8 +434,10 @@ def fit_stack(
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
     per row.  Row i ends where ``fit_mle`` ends on dataset i, and has
-    converged when its Newton decrement fell in [0, ``SOLVER_TOL``].  A
-    row whose fit fails (single-valued response with predictors,
+    converged when its Newton decrement fell in [0, ``SOLVER_TOL``].  Each
+    row line-searches at its own step, so the stack makes as many
+    likelihood passes as its slowest row would alone.  A row whose fit
+    fails (single-valued response in a model with any coefficient,
     information not finite or singular) gets NaN fields and its
     exception in ``StackFit.errors``; the other rows are unaffected.
     """
@@ -437,8 +450,7 @@ def fit_stack(
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y,
-                   P.shape[-1] > 0, max_iter)
+    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y, max_iter)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -472,7 +484,7 @@ def fit_mle(
     ``FitResult.warnings`` rather than by aborting, so replication
     harnesses survive pathological resamples.
 
-    Raises ``SeparationError`` when a model with predictors sees a
+    Raises ``SeparationError`` when a model with any coefficient sees a
     single-valued response, and ``NumericalError`` when the damped
     information matrix is not finite or cannot be solved.
     """

@@ -316,7 +316,8 @@ def density(link: LinkKind, u):
 
 
 def density_prime(link: LinkKind, u):
-    """The density slope f'(u), which enters the observed information."""
+    """The density slope f'(u).  The solver does not use it: its score and
+    information weights come from the log-space terms (``_WEIGHTS``)."""
     arr = _finite_array(u, "u")
     return _like_input(_DENSITIES[link](arr)[1], u)
 

@@ -111,6 +111,18 @@ class TestGenerateDataset:
                       beta0=0.0, beta1=1.0, n=1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SplitPlan(replications=2.5, seed=1),
+    lambda: structural_sim(EXAMPLE_ONE, R=2.5, S=10, seed=0),
+    lambda: structural_sim(EXAMPLE_ONE, R=1, S=10.5, seed=0),
+    lambda: GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.LOGIT,
+                      beta0=0.0, beta1=1.0, n=50.5),
+], ids=["replications", "R", "S", "n"])
+def test_non_integral_counts_rejected(make):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        make()
+
+
 class TestOlsSimple:
     def test_exact_line(self):
         xs = np.linspace(-2, 2, 9)

@@ -100,6 +100,15 @@ class TestDataset:
         assert sub.n == 2 and sub.names == ("a", "b")
         np.testing.assert_array_equal(sub.response, [0.0, 0.0])
 
+    def test_subset_takes_a_row_mask_or_integer_indices(self):
+        data = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+        masked = data.subset([True, False, True, False])
+        np.testing.assert_array_equal(masked.predictors, [[0.0, 1.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(data.subset(np.array([3, 0])).response, [1.0, 0.0])
+        for bad in ([0.7, 2.2], [True, False], [[0, 1]], [4], ["a"]):
+            with pytest.raises(ArgumentError):
+                data.subset(bad)
+
 
 class TestLogLikelihood:
     def test_intercept_only_at_zero(self):
@@ -231,6 +240,13 @@ class TestFitMle:
         with pytest.raises(SeparationError):
             fit_mle(ModelSpec(LinkKind.LOGIT, intercept=False), data)
 
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_single_class_intercept_only_raises(self, link):
+        """The intercept diverges; no fit may call it converged."""
+        for label in (0.0, 1.0):
+            with pytest.raises(SeparationError, match="single value"):
+                fit_mle(ModelSpec(link), Dataset.intercept_only([label] * 10))
+
     def test_separable_data_warns_instead_of_aborting(self):
         x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
         y = (x > 0).astype(float)
@@ -307,6 +323,17 @@ def reference_fit(spec, data, tol=1e-12, max_iter=100):
     return beta, iterations, False
 
 
+def flipped_label_draw(stream, n=30):
+    """x and y whose labels follow the sign of x except for far-out
+    flipped ones, on which the cauchit information turns indefinite."""
+    x = stream.normal(size=n)
+    y = (x > 0).astype(float)
+    flip = stream.random(n) < 0.1
+    y[flip] = 1.0 - y[flip]
+    x[flip] *= 8.0
+    return x, y
+
+
 class TestFitStack:
     def test_one_row_matches_reference_loop(self):
         """Includes the gaussian draw with seed 2, on which the compit fit
@@ -363,6 +390,20 @@ class TestFitStack:
         np.testing.assert_array_equal(stack.coefficients[keep], base.coefficients[keep])
         np.testing.assert_array_equal(stack.loglik[keep], base.loglik[keep])
 
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_single_class_intercept_only_row_is_dropped_alone(self, link):
+        spec = ModelSpec(link)
+        Y = (substream(305).random((4, 10)) < 0.5).astype(float)
+        Y[:, 0], Y[:, 1] = 0.0, 1.0
+        bad = Y.copy()
+        bad[1] = 1.0
+        stack = fit_stack(spec, np.empty((10, 0)), bad)
+        assert isinstance(stack.errors[1], SeparationError)
+        np.testing.assert_array_equal(stack.ok, [True, False, True, True])
+        rest = fit_stack(spec, np.empty((10, 0)), Y[stack.ok])
+        np.testing.assert_array_equal(stack.coefficients[stack.ok], rest.coefficients)
+        np.testing.assert_array_equal(stack.iterations[stack.ok], rest.iterations)
+
     def test_singular_information_row_is_dropped_alone(self):
         # two identical columns this large make the ridge vanish in rounding,
         # so the damped information of that row is exactly singular
@@ -404,6 +445,38 @@ class TestFitStack:
             assert result.converged
             assert np.all(np.diff(trace) >= 0.0)
             assert trace[-1] == result.loglik
+
+    def test_halving_rows_hold_no_other_row_up(self, monkeypatch):
+        """The 40 flipped-label draws, where the cauchit rows halve their
+        steps at different passes: every row ends bit for bit where a
+        one-row stack ends, and the stack makes as many likelihood passes
+        as its slowest row alone."""
+        draws = [flipped_label_draw(substream(900, i)) for i in range(40)]
+        P = np.stack([x[:, None] for x, _ in draws])
+        Y = np.stack([y for _, y in draws])
+        passes = []
+        inner = fit_module._likelihood
+
+        def counted(*args):
+            passes.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(fit_module, "_likelihood", counted)
+        for link in ALL_LINKS:
+            spec = ModelSpec(link)
+            passes.clear()
+            stack = fit_stack(spec, P, Y)
+            stack_passes = len(passes)
+            alone = []
+            for i in range(Y.shape[0]):
+                passes.clear()
+                row = fit_stack(spec, P[i:i + 1], Y[i:i + 1])
+                alone.append(len(passes))
+                np.testing.assert_array_equal(stack.coefficients[i], row.coefficients[0])
+                assert stack.loglik[i] == row.loglik[0]
+                assert stack.iterations[i] == row.iterations[0]
+                assert stack.converged[i] == row.converged[0]
+            assert stack_passes == max(alone)
 
     def test_validation(self):
         spec = ModelSpec(LinkKind.LOGIT)
