@@ -14,9 +14,9 @@ Every subcommand is a pure function of its arguments, its seed and its
 input files: reruns produce byte-identical output, including under
 different ``--jobs`` values.  CSV input needs a header row, "."-decimal
 numeric cells and a 0/1 response column (``--response``, default "y");
-missing values abort ingestion.  Exit status is 0 when the computation
-completed with at most ``--max-invalid-frac`` failed replicates, 3 when
-more replicates failed, and 1 on any error.
+missing and non-finite values abort ingestion.  Exit status is 0 when
+the computation completed with at most ``--max-invalid-frac`` failed
+replicates, 3 when more replicates failed, and 1 on any error.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
     """Load a dataset from a headed CSV file.
 
     All non-response columns become predictors in file order.  Column
-    names must be distinct and cells must parse as numbers; the response
-    column must be 0/1.  A leading UTF-8 byte-order mark, as spreadsheet
-    exports often write, is skipped.
+    names must be distinct and cells must parse as finite numbers; the
+    response column must be 0/1.  A leading UTF-8 byte-order mark, as
+    spreadsheet exports often write, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -101,11 +101,16 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
                         f"{path}:{lineno}: missing value in column {name!r}"
                     )
                 try:
-                    values.append(float(text))
+                    value = float(text)
                 except ValueError:
                     raise ArgumentError(
                         f"{path}:{lineno}: non-numeric cell {text!r} in column {name!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ArgumentError(
+                        f"{path}:{lineno}: non-finite cell {text!r} in column {name!r}"
+                    )
+                values.append(value)
             ys.append(values.pop(y_col))
             rows.append(values)
     if not rows:

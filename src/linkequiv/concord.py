@@ -10,8 +10,8 @@ why positively proportional probit and logit classifiers never disagree.
 
 ``_paired_pass`` is the paired-split study behind ``average_test_error``
 and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
-are cut into contiguous blocks, at least one per worker and small enough
-to bound a block's memory; a block draws each of its splits once, fits
+are cut into as few contiguous blocks as bound a block's memory, however
+many workers there are; a block draws each of its splits once, fits
 each link to all of its equal-size training sets in one stacked solve
 and scores all of its test sets with one ``cdf`` call per link.
 """
@@ -222,11 +222,14 @@ def _paired_pass(
     failed.
 
     The R replicates are cut into contiguous blocks, one
-    ``replicate_map`` task each: at least ``min(jobs, R)`` of them, and
-    more where a block's stacked training data would exceed
-    ``_BLOCK_ELEMENTS``.  Every block is shipped the data once, and a
-    command starts at most one process pool.  Stacked rows never
-    interact, so the result does not depend on the blocking.
+    ``replicate_map`` task each: as few as keep every block's stacked
+    training data within ``_BLOCK_ELEMENTS``.  ``jobs`` only sets how
+    many workers run the blocks, so a pass that fits in one block runs
+    in this process and starts no pool; a pool costs more to start than
+    splitting one block across workers saves.  Every block is shipped
+    the data once, and a command starts at most one process pool.
+    Stacked rows never interact, so the result does not depend on the
+    blocking.
     """
     if data.n < 3:
         raise ArgumentError("need at least 3 rows to split")
@@ -234,7 +237,7 @@ def _paired_pass(
         raise ArgumentError("response must contain both classes")
     R = plan.replications
     elements = R * _n_train(data.n, plan) * (data.p + int(intercept))
-    blocks = min(R, max(1, jobs, math.ceil(elements / _BLOCK_ELEMENTS)))
+    blocks = min(R, max(1, math.ceil(elements / _BLOCK_ELEMENTS)))
     tasks = [
         (data, tuple(links), plan, intercept, range(R * b // blocks, R * (b + 1) // blocks))
         for b in range(blocks)

@@ -13,12 +13,17 @@ from concurrent.futures import ProcessPoolExecutor
 def replicate_map(fn, args_list, jobs: int = 1) -> list:
     """Apply ``fn`` to each element of ``args_list``, in index order.
 
-    ``fn`` must be a module-level function when ``jobs > 1`` so the
-    process pool can pickle it.
+    With ``jobs > 1`` and more than one element, a process pool of
+    ``min(jobs, len(args_list))`` workers runs them: the pool starts
+    every worker up front, so none is started without a task.  Otherwise
+    everything runs in the calling process and no pool starts.  ``fn``
+    must be a module-level function when a pool runs, so it can be
+    pickled.
     """
     items = list(args_list)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(a) for a in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

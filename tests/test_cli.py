@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from linkequiv import cli, parallel
+from linkequiv import cli, concord, parallel
 from linkequiv.cli import EXIT_ERROR, EXIT_OK, EXIT_TOO_MANY_INVALID, main, read_dataset_csv
 
 
@@ -180,6 +180,17 @@ class TestFit:
         assert exc.value.code == 0
         assert "usage: linkequiv structural" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_finite_cell_rejected_with_its_place(self, tmp_path, capsys, cell, column):
+        path = tmp_path / "in.csv"
+        row = f"{cell},0" if column == "x" else f"0.5,{cell}"
+        path.write_text(f"x,y\n1.0,1\n-2.0,0\n\n{row}\n3.0,1\n")
+        assert run("fit", path, "--links", "logit") == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"{path}:5: non-finite cell {cell!r} in column {column!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("header, name", [("x,y,y", "y"), ("x,x,y", "x")])
     def test_repeated_column_name_rejected(self, tmp_path, capsys, header, name):
         path = tmp_path / "dup.csv"
@@ -248,7 +259,7 @@ class TestPredictive:
 def replication_argv(command, csv_path, out):
     """A tiny run of one replication subcommand."""
     if command == "structural":
-        return ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", out]
+        return ["structural", "-R", 4, "-S", 3, "--n", 30, "--out", out]
     if command == "predictive":
         return ["predictive", "--csv", csv_path, "-R", 3, "--links", "logit", "--out", out]
     return ["ic", csv_path, "-R", 3, "--links", "logit", "--out", out]
@@ -285,6 +296,8 @@ class TestReplicationFlags:
     @pytest.mark.parametrize("cpus, started", [(1, []), (3, [3])])
     def test_jobs_capped_at_cpu_count(self, command, cpus, started, dataset_csv, tmp_path,
                                       monkeypatch):
+        # a budget of one element makes every paired replicate a block of its own
+        monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "started", [])
@@ -309,8 +322,10 @@ class TestReplicationFlags:
 @pytest.mark.parametrize("jobs, started", [(64, [3]), (1, [])])
 def test_one_pool_per_paired_command(command, jobs, started, dataset_csv, tmp_path,
                                      monkeypatch):
-    """All links share one pool: the replicates are cut into one block per
-    worker, not mapped once per link."""
+    """All links share one pool: a budget of one element cuts the 3
+    replicates into 3 blocks, mapped once for every link, not once per
+    link."""
+    monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "started", [])
@@ -318,6 +333,31 @@ def test_one_pool_per_paired_command(command, jobs, started, dataset_csv, tmp_pa
     argv[argv.index("--links") + 1] = "all"
     assert run(*argv, "--jobs", jobs) == EXIT_OK
     assert FakePool.started == started
+
+
+@pytest.mark.parametrize("command", ["predictive", "ic"])
+def test_pass_within_one_block_starts_no_pool(command, dataset_csv, tmp_path, monkeypatch):
+    """3 replicates of 54 training rows x 2 coefficients fit in one budget
+    block, which runs in this process at any --jobs."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
+    argv[argv.index("--links") + 1] = "all"
+    assert run(*argv, "--jobs", 64) == EXIT_OK
+    assert FakePool.started == []
+
+
+def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    """A pool starts every worker up front, so the 2 replicate tasks of
+    ``structural -R 2`` at --jobs 64 (capped at 3 CPUs) start 2 workers,
+    not 3."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    argv = ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", tmp_path / "o.csv"]
+    assert run(*argv, "--jobs", 64) == EXIT_OK
+    assert FakePool.started == [2]
 
 
 @pytest.mark.parametrize("command", ["predictive", "ic"])

@@ -31,7 +31,7 @@ from linkequiv import (
     summarize,
 )
 from linkequiv import test_error as zero_one_error
-from linkequiv import concord
+from linkequiv import concord, parallel
 from linkequiv.concord import _paired_pass
 from linkequiv.equiv import _draw, _slope_line
 from linkequiv.parallel import replicate_map
@@ -435,14 +435,34 @@ class TestPairedPass:
         (predictive_sim, ("values",)),
         (ic_compare, ("aic", "bic")),
     ])
-    def test_uneven_blocks_are_jobs_invariant(self, harness, fields):
-        """R = 7 cuts into blocks of 4 + 3 at two jobs and 3 + 2 + 2 at
-        three; every report array must match the one-block run."""
+    def test_uneven_blocks_are_jobs_invariant(self, monkeypatch, harness, fields):
+        """A budget of 4 or 3 replicates (32 training rows x 3 coefficients
+        each) cuts R = 7 into blocks of 3 + 4 or 2 + 2 + 3 replicates; run
+        through a real process pool at two and three jobs, every report
+        array must match the one-process run."""
         data = _real_data()
         plan = SplitPlan(replications=7, seed=41)
-        one, *others = [harness(data, list(LinkKind), plan, jobs=jobs) for jobs in (1, 2, 3)]
-        for other in others:
-            for link in LinkKind:
-                for field in fields:
-                    np.testing.assert_array_equal(
-                        getattr(other[link], field), getattr(one[link], field))
+        one = harness(data, list(LinkKind), plan, jobs=1)
+        blocks_seen, pools_started = [], []
+
+        def recording_map(fn, tasks, jobs):
+            blocks_seen.append([len(task[-1]) for task in tasks])
+            return replicate_map(fn, tasks, jobs=jobs)
+
+        class RecordingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools_started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concord, "replicate_map", recording_map)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        for budget in (4 * 96, 3 * 96):
+            monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", budget)
+            for jobs in (2, 3):
+                other = harness(data, list(LinkKind), plan, jobs=jobs)
+                for link in LinkKind:
+                    for field in fields:
+                        np.testing.assert_array_equal(
+                            getattr(other[link], field), getattr(one[link], field))
+        assert blocks_seen == [[3, 4], [3, 4], [2, 2, 3], [2, 2, 3]]
+        assert pools_started == [2, 2, 2, 3]

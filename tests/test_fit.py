@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from linkequiv import (
     ArgumentError,
@@ -12,6 +14,7 @@ from linkequiv import (
     FitResult,
     Gaussian,
     GenConfig,
+    LinkEquivError,
     LinkKind,
     ModelSpec,
     NumericalError,
@@ -553,6 +556,104 @@ class TestExactLikelihood:
         for link, result in fits.items():
             assert result.converged, link
         assert abs(fits[LinkKind.COMPIT].coefficients[1] - 0.6026903) <= 1e-6
+
+
+def drawn_problem(seed, shape, n, x_scale, beta_scale):
+    """n rows of p normal predictors scaled by ``x_scale``, ``shape`` being
+    (p, intercept), with labels drawn from a logit model whose
+    coefficients have sd ``beta_scale``; some draws are separated or
+    single-class."""
+    p, intercept = shape
+    stream = substream(910, seed)
+    X = stream.normal(size=(n, p)) * x_scale
+    beta = stream.normal(scale=beta_scale, size=p + int(intercept))
+    eta = X @ beta[int(intercept):] + (beta[0] if intercept else 0.0)
+    y = (stream.random(n) < cdf(LinkKind.LOGIT, eta)).astype(float)
+    return intercept, Dataset(X, y)
+
+
+def fit_or_error(spec, data):
+    try:
+        return fit_mle(spec, data)
+    except LinkEquivError as exc:
+        return type(exc)
+
+
+def identified(intercept, data):
+    """Whether both classes occur, the model matrix has full column rank
+    and no coefficient vector b separates the classes: with Z = (2y - 1) * [1, X], the linear
+    program max sum(Zb) subject to Zb >= 0 and |b| <= 1 (Konis 2007) has
+    optimum 0."""
+    # the solver refuses a single-valued response even where, with no
+    # intercept and mixed-sign x, the MLE exists
+    if data.response.min() == data.response.max():
+        return False
+    design = np.column_stack([np.ones(data.n)] * intercept + [data.predictors])
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        return False
+    Z = (2.0 * data.response - 1.0)[:, None] * design
+    lp = linprog(-Z.sum(axis=0), A_ub=-Z, b_ub=np.zeros(data.n), bounds=(-1.0, 1.0))
+    return lp.status == 0 and -lp.fun <= 1e-9 * np.abs(Z).sum()
+
+
+problems = st.builds(
+    drawn_problem,
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(p, i) for p in range(4) for i in (True, False) if p or i]),
+    n=st.integers(3, 60),
+    x_scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3]),
+    beta_scale=st.sampled_from([0.3, 1.0, 5.0]),
+)
+
+
+class TestInvariances:
+    """Properties of the fit that no reordering or relabelling of the data
+    may change."""
+
+    @given(problem=problems,
+           link=st.sampled_from([LinkKind.PROBIT, LinkKind.CAUCHIT, LinkKind.LOGIT]))
+    @settings(max_examples=150, deadline=None)
+    def test_flipped_labels_negate_the_fit_exactly(self, problem, link):
+        """F(-u) = 1 - F(u) for symmetric links, so y -> 1 - y maps every
+        iterate beta to -beta: the fit, its verdict and any error match
+        bit for bit, separated and capped fits included."""
+        intercept, data = problem
+        spec = ModelSpec(link, intercept=intercept)
+        fit = fit_or_error(spec, data)
+        flipped = fit_or_error(spec, Dataset(data.predictors, 1.0 - data.response))
+        if isinstance(fit, type):
+            assert flipped is fit
+            return
+        np.testing.assert_array_equal(flipped.coefficients, -fit.coefficients)
+        assert flipped.loglik == fit.loglik
+        assert flipped.iterations == fit.iterations
+        assert flipped.converged == fit.converged
+        assert flipped.warnings == fit.warnings
+
+    @given(problem=problems, link=st.sampled_from(ALL_LINKS), order=st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_row_permutation_keeps_the_fit(self, problem, link, order):
+        """Reordering the rows changes only the rounding of the sums.  Where
+        the MLE exists and is unique (a full-rank design and no separation),
+        the verdict and warnings stay, and converged coefficients move by at
+        most 1e-6 of the largest coefficient or standard error: the
+        likelihood cannot place a weakly determined coefficient more
+        finely."""
+        intercept, data = problem
+        assume(identified(intercept, data))
+        spec = ModelSpec(link, intercept=intercept)
+        fit = fit_mle(spec, data)
+        rows = list(range(data.n))
+        order.shuffle(rows)
+        permuted = fit_mle(spec, data.subset(np.array(rows)))
+        assert permuted.converged == fit.converged
+        assert permuted.warnings == fit.warnings
+        if not fit.converged:  # a capped cauchit fit stops at no optimum
+            return
+        information = observed_information(spec, fit.coefficients, data)
+        errors = np.sqrt(np.diag(np.linalg.inv(information)))
+        scale = max(np.max(np.abs(fit.coefficients)), np.max(errors))
+        assert np.max(np.abs(permuted.coefficients - fit.coefficients)) <= 1e-6 * scale
 
 
 class TestInformationCriteria:
