@@ -1,10 +1,11 @@
 """Likelihood, score and Newton-solver behaviour for all four links."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from linkequiv import (
@@ -612,7 +613,7 @@ class TestInvariances:
 
     @given(problem=problems,
            link=st.sampled_from([LinkKind.PROBIT, LinkKind.CAUCHIT, LinkKind.LOGIT]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_flipped_labels_negate_the_fit_exactly(self, problem, link):
         """F(-u) = 1 - F(u) for symmetric links, so y -> 1 - y maps every
         iterate beta to -beta: the fit, its verdict and any error match
@@ -631,14 +632,18 @@ class TestInvariances:
         assert flipped.warnings == fit.warnings
 
     @given(problem=problems, link=st.sampled_from(ALL_LINKS), order=st.randoms())
-    @settings(max_examples=150, deadline=None)
+    @example(problem=drawn_problem(41, (1, False), 41, 1e-3, 0.3),
+             link=LinkKind.COMPIT, order=random.Random(327))
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_row_permutation_keeps_the_fit(self, problem, link, order):
         """Reordering the rows changes only the rounding of the sums.  Where
         the MLE exists and is unique (a full-rank design and no separation),
         the verdict and warnings stay, and converged coefficients move by at
         most 1e-6 of the largest coefficient or standard error: the
         likelihood cannot place a weakly determined coefficient more
-        finely."""
+        finely.  The pinned example is the worst case seen: its compit
+        slope 0.298 has standard error 161 and moves 1.4e-6 (4.7e-6 of
+        itself, 8.8e-9 of the bound's scale)."""
         intercept, data = problem
         assume(identified(intercept, data))
         spec = ModelSpec(link, intercept=intercept)
