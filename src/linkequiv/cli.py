@@ -70,49 +70,55 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
     All non-response columns become predictors in file order.  Column
     names must be distinct and cells must parse as finite numbers; the
     response column must be 0/1.  A leading UTF-8 byte-order mark, as
-    spreadsheet exports often write, is skipped.
+    spreadsheet exports often write, is skipped.  Text that is not UTF-8
+    and records the CSV reader rejects raise ``ArgumentError`` too.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ArgumentError(f"{path}: empty file (header row required)") from None
-        header = [h.strip() for h in header]
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise ArgumentError(f"{path}: column {name!r} is named more than once")
-        if response not in header:
-            raise ArgumentError(f"{path}: no column named {response!r}")
-        y_col = header.index(response)
-        names = tuple(h for i, h in enumerate(header) if i != y_col)
-        rows = []
-        ys = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ArgumentError(f"{path}:{lineno}: expected {len(header)} cells")
-            values = []
-            for cell, name in zip(row, header):
-                text = cell.strip()
-                if text == "":
-                    raise ArgumentError(
-                        f"{path}:{lineno}: missing value in column {name!r}"
-                    )
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ArgumentError(
-                        f"{path}:{lineno}: non-numeric cell {text!r} in column {name!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ArgumentError(
-                        f"{path}:{lineno}: non-finite cell {text!r} in column {name!r}"
-                    )
-                values.append(value)
-            ys.append(values.pop(y_col))
-            rows.append(values)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ArgumentError(f"{path}: empty file (header row required)") from None
+            header = [h.strip() for h in header]
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise ArgumentError(f"{path}: column {name!r} is named more than once")
+            if response not in header:
+                raise ArgumentError(f"{path}: no column named {response!r}")
+            y_col = header.index(response)
+            names = tuple(h for i, h in enumerate(header) if i != y_col)
+            rows = []
+            ys = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ArgumentError(f"{path}:{lineno}: expected {len(header)} cells")
+                values = []
+                for cell, name in zip(row, header):
+                    text = cell.strip()
+                    if text == "":
+                        raise ArgumentError(
+                            f"{path}:{lineno}: missing value in column {name!r}"
+                        )
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ArgumentError(
+                            f"{path}:{lineno}: non-numeric cell {text!r} in column {name!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ArgumentError(
+                            f"{path}:{lineno}: non-finite cell {text!r} in column {name!r}"
+                        )
+                    values.append(value)
+                ys.append(values.pop(y_col))
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ArgumentError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ArgumentError(f"{path}: no data rows")
     y = np.asarray(ys)
@@ -528,10 +534,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except LinkEquivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (LinkEquivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -307,6 +307,21 @@ def summarize(values) -> SummaryStats:
     )
 
 
+def _summary_pass(data: Dataset, links: tuple, plan: SplitPlan, jobs: int) -> tuple:
+    """Test errors, AICs and BICs of the paired pass as (R, L) arrays, and
+    the (R, L) mask of the replicates whose training fit succeeded (NaN in
+    all three arrays otherwise).  A summary needs at least 2 replications,
+    and at least 2 usable replicates under every link."""
+    if plan.replications < 2:
+        raise ArgumentError("summaries need at least 2 replications")
+    te, aic, bic = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
+    usable = np.isfinite(te)
+    for j, link in enumerate(links):
+        if usable[:, j].sum() < 2:
+            raise ExperimentError(f"{link}: fewer than 2 usable replicates")
+    return te, aic, bic, usable
+
+
 def predictive_sim(
     data: Dataset,
     links,
@@ -318,19 +333,15 @@ def predictive_sim(
     errors are summarized.
     """
     links = tuple(links)
-    if plan.replications < 2:
-        raise ArgumentError("summaries need at least 2 replications")
-    te, _, _ = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
-    out: dict[LinkKind, TestErrorReport] = {}
-    for j, link in enumerate(links):
-        values = te[:, j].copy()
-        valid = values[np.isfinite(values)]
-        if valid.size < 2:
-            raise ExperimentError(f"{link}: fewer than 2 usable replicates")
-        out[link] = TestErrorReport(
-            values=values, stats=summarize(valid), n_failed=int(values.size - valid.size)
+    te, _, _, usable = _summary_pass(data, links, plan, jobs)
+    return {
+        link: TestErrorReport(
+            values=te[:, j].copy(),
+            stats=summarize(te[usable[:, j], j]),
+            n_failed=int((~usable[:, j]).sum()),
         )
-    return out
+        for j, link in enumerate(links)
+    }
 
 
 def ic_compare(
@@ -343,21 +354,14 @@ def ic_compare(
     intercept, using the same paired split sequence as
     ``predictive_sim``."""
     links = tuple(links)
-    if plan.replications < 2:
-        raise ArgumentError("summaries need at least 2 replications")
-    _, aic_all, bic_all = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
-    out: dict[LinkKind, IcReport] = {}
-    for j, link in enumerate(links):
-        aic = aic_all[:, j].copy()
-        bic = bic_all[:, j].copy()
-        keep = np.isfinite(aic)
-        if keep.sum() < 2:
-            raise ExperimentError(f"{link}: fewer than 2 usable replicates")
-        out[link] = IcReport(
-            aic=aic,
-            bic=bic,
-            aic_stats=summarize(aic[keep]),
-            bic_stats=summarize(bic[keep]),
-            n_failed=int((~keep).sum()),
+    _, aic, bic, usable = _summary_pass(data, links, plan, jobs)
+    return {
+        link: IcReport(
+            aic=aic[:, j].copy(),
+            bic=bic[:, j].copy(),
+            aic_stats=summarize(aic[usable[:, j], j]),
+            bic_stats=summarize(bic[usable[:, j], j]),
+            n_failed=int((~usable[:, j]).sum()),
         )
-    return out
+        for j, link in enumerate(links)
+    }

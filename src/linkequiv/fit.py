@@ -29,9 +29,12 @@ optimum the full step gains about half the decrement, and unlike the
 score, the decrement does not change when a predictor is rescaled (Boyd
 and Vandenberghe, Convex Optimization, 9.5).  That pass's full step is
 the row's last, taken only if the log-likelihood does not fall.  A row
-whose response takes a single value has no maximum and is refused before
-the loop.  Iterates start from zero, which keeps runs reproducible bit
-for bit.
+also stops at the constant ``MAX_ITERATIONS`` iterations.  One batched
+solve gives the directions of every row in a pass; a row whose
+information is not finite or exactly singular fails alone.  A row whose
+response takes a single value has no maximum and is refused before the
+loop.  Iterates start from zero, which keeps runs reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -301,32 +304,29 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
 
 
 def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Newton directions (H + ridge)^-1 g of a stack, and the reason each
-    failed row fails, keyed by its position: its information is not
-    finite, or its damped information is singular.  A failed row's
-    direction is NaN."""
+    """Newton directions (H + ridge)^-1 g of a stack, from one batched
+    solve, and the reason each failed row fails, keyed by its position:
+    its information is not finite, or its damped information is exactly
+    singular.  A failed row's direction is NaN."""
     k = g.shape[1]
     damped = H + RIDGE * np.eye(k)
     finite = np.isfinite(damped).all(axis=(1, 2))
-    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(~finite)}
-    # solve the failed rows as identity systems, so that they cannot
+    # failed rows are solved as identity systems, so that they cannot
     # disturb the batched solve of the others
     damped[~finite] = np.eye(k)
-    rhs = np.where(finite[:, None], g, 0.0)[..., None]
-    try:
-        direction = np.linalg.solve(damped, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        direction = np.empty_like(g)
-        for i in range(g.shape[0]):
-            try:
-                direction[i] = np.linalg.solve(damped[i:i + 1], rhs[i:i + 1])[0, :, 0]
-            except np.linalg.LinAlgError:
-                failures[i] = "information matrix is singular even after ridge damping"
-    direction[list(failures)] = np.nan
+    # a zero sign marks a zero LU pivot, on which solve would raise
+    singular = np.linalg.slogdet(damped)[0] == 0.0
+    damped[singular] = np.eye(k)
+    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(~finite)}
+    for i in np.flatnonzero(singular):
+        failures[int(i)] = "information matrix is singular even after ridge damping"
+    failed = ~finite | singular
+    direction = np.linalg.solve(damped, np.where(failed[:, None], 0.0, g)[..., None])[..., 0]
+    direction[failed] = np.nan
     return direction, failures
 
 
-def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> StackFit:
+def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
     """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
     transposed model matrix, (k, n) or (S, k, n), and ``Y`` the (S, n)
     responses.
@@ -341,9 +341,10 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> Sta
     evaluated twice; a rejected one halves the row's step.  A row stops
     after the probe of its decrement-rule pass, after an accepted probe
     that moves no coefficient, when its halvings run out or at
-    ``max_iter`` iterations, and is not evaluated again.  A row that fails
-    is recorded in ``errors``.  Rows never wait for each other, so the
-    stack makes as many likelihood passes as its slowest row would alone.
+    ``MAX_ITERATIONS`` iterations, and is not evaluated again.  A row that
+    fails, here or in ``_directions``, is recorded in ``errors``.  Rows
+    never wait for each other, so the stack makes as many likelihood
+    passes as its slowest row would alone.
     """
     sign = 2.0 * Y - 1.0
     S, k = Y.shape[0], Xt.shape[-2]
@@ -372,7 +373,6 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> Sta
     parts = [np.zeros(sign.shape) for _ in first]
     for kept, new in zip(parts, first):
         kept[rows] = new
-    running &= max_iter > 0
     while running.any():
         fresh = np.flatnonzero(running & (step == 0.0))
         if fresh.size:
@@ -408,7 +408,8 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> Sta
         iterations[taken] += 1
         step[rows] = np.where(take, 0.0, 0.5 * step[rows])
         halved_out = step[rows] < 0.5 ** MAX_HALVINGS
-        stop = converged[rows] | (~take & (accepted | halved_out)) | (iterations[rows] >= max_iter)
+        capped = iterations[rows] >= MAX_ITERATIONS
+        stop = converged[rows] | (~take & (accepted | halved_out)) | capped
         running[rows[stop]] = False
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
@@ -422,23 +423,18 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, max_iter: int) -> Sta
     )
 
 
-def fit_stack(
-    spec: ModelSpec,
-    predictors,
-    responses,
-    *,
-    max_iter: int = MAX_ITERATIONS,
-) -> StackFit:
+def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
     """Fit S datasets in one batched solve.
 
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
     per row.  Row i ends where ``fit_mle`` ends on dataset i, and has
-    converged when its Newton decrement fell in [0, ``SOLVER_TOL``].  Each
-    row line-searches at its own step, so the stack makes as many
+    converged when its Newton decrement fell in [0, ``SOLVER_TOL``]; a
+    row stops unconverged at ``MAX_ITERATIONS`` iterations at the latest.
+    Each row line-searches at its own step, so the stack makes as many
     likelihood passes as its slowest row would alone.  A row whose fit
     fails (single-valued response in a model with any coefficient,
-    information not finite or singular) gets NaN fields and its
+    information not finite or exactly singular) gets NaN fields and its
     exception in ``StackFit.errors``; the other rows are unaffected.
     """
     Y = np.asarray(responses, dtype=float)
@@ -450,7 +446,7 @@ def fit_stack(
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y, max_iter)
+    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y)
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
@@ -467,12 +463,7 @@ def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> b
     return bool(np.any(scaled > SEPARATION_BOUND))
 
 
-def fit_mle(
-    spec: ModelSpec,
-    data: Dataset,
-    *,
-    max_iter: int = MAX_ITERATIONS,
-) -> FitResult:
+def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
     This is ``fit_stack`` on the single response row.  Convergence is
@@ -480,15 +471,16 @@ def fit_mle(
     ``grad_norm``, the score infinity-norm at the returned coefficients,
     is a diagnostic only.
     Identical inputs produce bit-identical coefficients.  A
-    suspected-separation or iteration-cap condition is reported through
+    suspected-separation condition, or a fit that reaches
+    ``MAX_ITERATIONS`` unconverged, is reported through
     ``FitResult.warnings`` rather than by aborting, so replication
     harnesses survive pathological resamples.
 
     Raises ``SeparationError`` when a model with any coefficient sees a
     single-valued response, and ``NumericalError`` when the damped
-    information matrix is not finite or cannot be solved.
+    information matrix is not finite or is exactly singular.
     """
-    stack = fit_stack(spec, data.predictors, data.response[None], max_iter=max_iter)
+    stack = fit_stack(spec, data.predictors, data.response[None])
     if stack.errors[0] is not None:
         raise stack.errors[0]
     beta = stack.coefficients[0]
@@ -496,7 +488,7 @@ def fit_mle(
     iterations = int(stack.iterations[0])
     converged = bool(stack.converged[0])
     warnings = []
-    if iterations >= max_iter and not converged:
+    if iterations >= MAX_ITERATIONS and not converged:
         warnings.append(WARN_MAX_ITERATIONS)
     if _separation_suspected(spec, beta, data):
         warnings.append(WARN_SEPARATION)

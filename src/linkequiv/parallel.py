@@ -15,15 +15,15 @@ def replicate_map(fn, args_list, jobs: int = 1) -> list:
 
     With ``jobs > 1`` and more than one element, a process pool of
     ``min(jobs, len(args_list))`` workers runs them: the pool starts
-    every worker up front, so none is started without a task.  Otherwise
-    everything runs in the calling process and no pool starts.  ``fn``
-    must be a module-level function when a pool runs, so it can be
-    pickled.
+    every worker up front, so none is started without a task, and hands
+    out one element at a time: each is a whole replicate or a
+    memory-budget block.  Otherwise everything runs in the calling
+    process and no pool starts.  ``fn`` must be a module-level function
+    when a pool runs, so it can be pickled.
     """
     items = list(args_list)
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(a) for a in items]
-    chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items))

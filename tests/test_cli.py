@@ -164,6 +164,22 @@ class TestFit:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content, message", [
+        (b"x,y\n1.0,1\n\xe9,0\n", "{path}: not UTF-8 text"),
+        (b"x,y\n1.0,1\n" + b"1" * 131_073 + b",0\n", "{path}:3: field larger than field limit"),
+    ], ids=["latin-1-byte", "oversized-field"])
+    def test_unreadable_csv_exits_one_with_one_error_line(self, tmp_path, capsys, content,
+                                                         message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        assert run("fit", path) == EXIT_ERROR
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message.format(path=path) in lines[0]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, message", [
         (("structural", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
         (("tabulate",), "invalid choice: 'tabulate'"),

@@ -65,15 +65,17 @@ def fd_score(spec, beta, data, h=1e-6):
 
 
 def loglik_trace(spec, data):
-    """The full fit and its log-likelihood after the start and after each
+    """The full fit and its log-likelihood at the zero start and after each
     step.  Iterates are deterministic, so the fit capped at m steps stops
     exactly at the full fit's m-th iterate."""
     full = fit_mle(spec, data)
-    trace = []
-    for m in range(full.iterations + 1):
-        capped = fit_mle(spec, data, max_iter=m)
-        assert capped.iterations == m
-        trace.append(capped.loglik)
+    trace = [log_likelihood(spec, np.zeros(full.coefficients.size), data)]
+    with pytest.MonkeyPatch.context() as patch:
+        for m in range(1, full.iterations + 1):
+            patch.setattr(fit_module, "MAX_ITERATIONS", m)
+            capped = fit_mle(spec, data)
+            assert capped.iterations == m
+            trace.append(capped.loglik)
     return full, trace
 
 
@@ -431,6 +433,39 @@ class TestFitStack:
         assert isinstance(stack.errors[0], NumericalError)
         rest = fit_stack(spec, P[1:], Y[1:])
         np.testing.assert_array_equal(stack.coefficients[1:], rest.coefficients)
+
+    def test_mixed_failure_kinds_are_found_in_one_solve(self, monkeypatch):
+        """An exactly singular row and a row with non-finite information
+        fail in the same call of the batched solve, each with its own
+        message, and the ordinary rows end where they end without them."""
+        spec, P, Y = random_stack(substream(307), LinkKind.LOGIT, S=4, shared=False,
+                                  intercept=False)
+        mixed = P.copy()
+        mixed[1, :, 1] = mixed[1, :, 0] = 1e5 * P[1, :, 0]
+        mixed[2] *= 1e160
+        calls = []
+        inner = fit_module._directions
+
+        def recorded(H, g):
+            direction, failures = inner(H, g)
+            calls.append(dict(failures))
+            return direction, failures
+
+        monkeypatch.setattr(fit_module, "_directions", recorded)
+        with np.errstate(over="ignore"):
+            stack = fit_stack(spec, mixed, Y)
+        singular = "information matrix is singular even after ridge damping"
+        non_finite = "observed information is not finite"
+        assert calls[0] == {1: singular, 2: non_finite}
+        assert all(isinstance(stack.errors[i], NumericalError) for i in (1, 2))
+        assert [str(e) for e in stack.errors[1:3]] == [singular, non_finite]
+        keep = np.array([True, False, False, True])
+        np.testing.assert_array_equal(stack.ok, keep)
+        rest = fit_stack(spec, P[keep], Y[keep])
+        np.testing.assert_array_equal(stack.coefficients[keep], rest.coefficients)
+        np.testing.assert_array_equal(stack.loglik[keep], rest.loglik)
+        np.testing.assert_array_equal(stack.iterations[keep], rest.iterations)
+        np.testing.assert_array_equal(stack.converged[keep], rest.converged)
 
     def test_single_fit_raises_the_row_error(self):
         x = np.arange(1.0, 41.0)
