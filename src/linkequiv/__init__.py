@@ -58,7 +58,6 @@ from .fit import (
     FitResult,
     ModelSpec,
     StackFit,
-    design_matrix,
     fit_mle,
     fit_stack,
     information_criteria,

@@ -90,9 +90,10 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
             names = tuple(h for i, h in enumerate(header) if i != y_col)
             rows = []
             ys = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num
                 if len(row) != len(header):
                     raise ArgumentError(f"{path}:{lineno}: expected {len(header)} cells")
                 values = []
@@ -132,6 +133,14 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_replicate_csv(path: str, columns: dict) -> None:
+    """One row per replicate: its index, then its value in each named
+    column at full precision."""
+    values = zip(*([_full(v) for v in column] for column in columns.values()))
+    _write_csv(path, ["replicate", *columns],
+               ([str(r), *row] for r, row in enumerate(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +199,13 @@ def _check_replication_flags(args) -> None:
     args.jobs = min(args.jobs, os.cpu_count() or 1)
 
 
+def _paired_setup(args) -> tuple[tuple[LinkKind, ...], SplitPlan]:
+    """Check the replication flags of a paired-split study and return its
+    links and split plan."""
+    _check_replication_flags(args)
+    return _parse_links(args.links), SplitPlan(replications=args.reps, seed=args.seed)
+
+
 def _invalid_exit(n_failed: int, total: int, max_frac: float) -> int:
     if total > 0 and n_failed > max_frac * total:
         print(
@@ -199,6 +215,14 @@ def _invalid_exit(n_failed: int, total: int, max_frac: float) -> int:
         )
         return EXIT_TOO_MANY_INVALID
     return EXIT_OK
+
+
+def _paired_exit(args, reports) -> int:
+    """Report where a paired-split study's CSV went and how many replicates
+    its worst link lost; return the exit status that count gives."""
+    n_failed = max(report.n_failed for report in reports.values())
+    print(f"wrote {args.out}; worst-link failed replicates: {n_failed}")
+    return _invalid_exit(n_failed, args.reps, args.max_invalid_frac)
 
 
 def _gen_config(args) -> GenConfig:
@@ -286,28 +310,17 @@ def cmd_structural(args) -> int:
 
 
 def cmd_predictive(args) -> int:
-    _check_replication_flags(args)
+    links, plan = _paired_setup(args)
     if args.csv is not None:
         data = read_dataset_csv(args.csv, args.response)
     else:
         data = generate_dataset(_gen_config(args), args.seed, 0)
-    links = _parse_links(args.links)
-    plan = SplitPlan(
-        replications=args.reps, seed=args.seed, train_fraction=args.train_frac
-    )
     reports = predictive_sim(data, links, plan, jobs=args.jobs)
-    header = ["replicate"] + [str(link) for link in links]
-    rows = [
-        [str(r)] + [_full(reports[link].values[r]) for link in links]
-        for r in range(args.reps)
-    ]
-    _write_csv(args.out, header, rows)
+    _write_replicate_csv(args.out, {str(link): reports[link].values for link in links})
     print(f"test errors over R={args.reps} splits "
-          f"(train fraction {args.train_frac:g}, seed {args.seed}):")
+          f"(train fraction 2/3, seed {args.seed}):")
     _stats_table({link: reports[link].stats for link in links}, decimals=2)
-    n_failed = max(reports[link].n_failed for link in links)
-    print(f"wrote {args.out}; worst-link failed replicates: {n_failed}")
-    return _invalid_exit(n_failed, args.reps, args.max_invalid_frac)
+    return _paired_exit(args, reports)
 
 
 def cmd_concordance(args) -> int:
@@ -341,30 +354,17 @@ def _print_matrix(matrix: ConcordanceMatrix) -> None:
 
 
 def cmd_ic(args) -> int:
-    _check_replication_flags(args)
+    links, plan = _paired_setup(args)
     data = read_dataset_csv(args.csv, args.response)
-    links = _parse_links(args.links)
-    plan = SplitPlan(
-        replications=args.reps, seed=args.seed, train_fraction=args.train_frac
-    )
     reports = ic_compare(data, links, plan, jobs=args.jobs)
-    header = ["replicate"]
-    for link in links:
-        header += [f"{link}_aic", f"{link}_bic"]
-    rows = []
-    for r in range(args.reps):
-        row = [str(r)]
-        for link in links:
-            row += [_full(reports[link].aic[r]), _full(reports[link].bic[r])]
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+    _write_replicate_csv(args.out, {
+        f"{link}_{ic}": getattr(reports[link], ic) for link in links for ic in ("aic", "bic")
+    })
     print(f"AIC over R={args.reps} training fits (seed {args.seed}):")
     _stats_table({link: reports[link].aic_stats for link in links}, decimals=2)
     print("BIC:")
     _stats_table({link: reports[link].bic_stats for link in links}, decimals=2)
-    n_failed = max(reports[link].n_failed for link in links)
-    print(f"wrote {args.out}; worst-link failed replicates: {n_failed}")
-    return _invalid_exit(n_failed, args.reps, args.max_invalid_frac)
+    return _paired_exit(args, reports)
 
 
 def cmd_gen(args) -> int:
@@ -478,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="input CSV; omit to generate data")
     p.add_argument("--response", default="y", help="response column (default %(default)s)")
     p.add_argument("--links", default="all", help="comma list or 'all' (default)")
-    p.add_argument("--train-frac", type=float, default=2.0 / 3.0,
-                   help="training fraction (default 2/3)")
     _add_generator_flags(p, design="gaussian", interval=(0.0, 1.0), mean=0.0,
                          sd=2.0, truth="cauchit", beta0=1.0, beta1=2.0, n=500)
     _add_replication_flags(p, reps=1000, out="te.csv")
@@ -503,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", help="input CSV with a header row")
     p.add_argument("--response", default="y", help="response column (default %(default)s)")
     p.add_argument("--links", default="all", help="comma list or 'all' (default)")
-    p.add_argument("--train-frac", type=float, default=2.0 / 3.0,
-                   help="training fraction (default 2/3)")
     _add_replication_flags(p, reps=1000, out="ic.csv")
     p.set_defaults(handler=cmd_ic)
 

@@ -8,6 +8,10 @@ class 1.  Classification therefore depends on the coefficients only
 through the sign of the linear predictor for symmetric links, which is
 why positively proportional probit and logit classifiers never disagree.
 
+Every train/test split of n rows trains on ceil(2n/3) of them, drawn
+at random from the ``(seed, r, "split")`` stream, and tests on the rest;
+n must be at least 3, so that both parts are non-empty.
+
 ``_paired_pass`` is the paired-split study behind ``average_test_error``
 and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
 are cut into as few contiguous blocks as bound a block's memory, however
@@ -67,15 +71,12 @@ class Classifier:
 @dataclass(frozen=True)
 class SplitPlan:
     """How to resample train/test partitions: R replications keyed to a
-    seed, with ``train_fraction`` of the rows (rounded up) training."""
+    seed.  Every split of n rows trains on ceil(2n/3) of them."""
 
     replications: int
     seed: int
-    train_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ArgumentError("train_fraction must lie strictly in (0, 1)")
         _check_count(self.replications, "replications", 1)
 
 
@@ -136,15 +137,17 @@ def test_error(c: Classifier, test: Dataset) -> float:
     return float(np.mean(labels != test.response))
 
 
-def _n_train(n: int, plan: SplitPlan) -> int:
-    """Training rows of every split of n rows: ceil(train_fraction * n),
-    kept within [1, n-1]."""
-    return min(max(math.ceil(plan.train_fraction * n - 1e-9), 1), n - 1)
+def _n_train(n: int) -> int:
+    """Training rows of every split of n rows: ceil(2n/3), which leaves at
+    least one test row once n is 3 or more."""
+    if n < 3:
+        raise ArgumentError("need at least 3 rows to split")
+    return (2 * n + 2) // 3
 
 
 def _split_indices(n: int, plan: SplitPlan, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted training and test row indices of replicate ``r`` of n rows."""
-    n_train = _n_train(n, plan)
+    n_train = _n_train(n)
     perm = substream(plan.seed, r, "split").permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
@@ -152,12 +155,10 @@ def _split_indices(n: int, plan: SplitPlan, r: int) -> tuple[np.ndarray, np.ndar
 def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
     """Replicate ``r`` of the random train/test partition.
 
-    ceil(train_fraction * n) rows train (kept within [1, n-1] so the
-    test set is never empty); the partition is a pure function of
-    (plan.seed, r) and identical for every caller.
+    ceil(2n/3) of the n rows train and the rest, at least one, test;
+    the partition is a pure function of (plan.seed, r) and identical for
+    every caller.
     """
-    if data.n < 3:
-        raise ArgumentError("need at least 3 rows to split")
     train_idx, test_idx = _split_indices(data.n, plan, r)
     return data.subset(train_idx), data.subset(test_idx)
 
@@ -233,12 +234,11 @@ def _paired_pass(
     Stacked rows never interact, so the result does not depend on the
     blocking.
     """
-    if data.n < 3:
-        raise ArgumentError("need at least 3 rows to split")
+    n_train = _n_train(data.n)
     if data.response.min() == data.response.max():
         raise ArgumentError("response must contain both classes")
     R = plan.replications
-    elements = R * _n_train(data.n, plan) * (data.p + int(intercept))
+    elements = R * n_train * (data.p + int(intercept))
     blocks = min(R, max(1, math.ceil(elements / _BLOCK_ELEMENTS)))
     tasks = [
         (data, tuple(links), plan, intercept, range(R * b // blocks, R * (b + 1) // blocks))

@@ -51,7 +51,6 @@ __all__ = [
     "Dataset",
     "ModelSpec",
     "FitResult",
-    "design_matrix",
     "log_likelihood",
     "score",
     "observed_information",
@@ -213,12 +212,6 @@ def _model_matrix(predictors: np.ndarray, intercept: bool) -> np.ndarray:
     return predictors
 
 
-def design_matrix(spec: ModelSpec, data: Dataset) -> np.ndarray:
-    """The model matrix, with a leading column of ones when an intercept
-    is requested."""
-    return _model_matrix(data.predictors, spec.intercept)
-
-
 def _checked_beta(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     expected = spec.coefficient_count(data.p)
@@ -271,7 +264,8 @@ def _one_row(spec: ModelSpec, beta, data: Dataset):
     """The transposed model matrix, response signs and coefficients of one
     dataset as a one-row stack."""
     b = _checked_beta(spec, beta, data)
-    return _transposed(design_matrix(spec, data)), 2.0 * data.response[None] - 1.0, b[None]
+    Xt = _transposed(_model_matrix(data.predictors, spec.intercept))
+    return Xt, 2.0 * data.response[None] - 1.0, b[None]
 
 
 def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:

@@ -146,6 +146,13 @@ class TestFit:
         assert run("fit", path) == EXIT_ERROR
         assert "missing" in capsys.readouterr().err
 
+    def test_error_after_multiline_cell_names_its_line(self, tmp_path, capsys):
+        # the quoted cell of record 2 spans lines 2 and 3, so 'abc' is on line 5
+        path = tmp_path / "ml.csv"
+        path.write_text('x,y\n"1.0\n",1\n2.0,0\nabc,0\n')
+        assert run("fit", path) == EXIT_ERROR
+        assert f"{path}:5: non-numeric cell 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, args, message", [
         ("x,y\n1.0,1\nabc,0\n", (), "non-numeric cell 'abc'"),
         ("x,y\n1.0,1\n2.0,0,3.0\n", (), "expected 2 cells"),

@@ -128,9 +128,12 @@ class TestTestError:
 
 class TestSplit:
     def test_two_thirds_of_nine(self):
-        data = Dataset.univariate(np.arange(9.0), [0, 1, 0, 1, 0, 1, 0, 1, 0])
-        train, test = split(data, SplitPlan(replications=1, seed=0), 0)
-        assert train.n == 6 and test.n == 3
+        # every split of n rows trains on ceil(2n/3) of them and tests on the rest
+        for n in (3, 4, 5, 9, 10, 11, 500, 50_001):
+            data = Dataset.univariate(np.arange(float(n)), np.arange(n) % 2)
+            train, test = split(data, SplitPlan(replications=1, seed=0), 0)
+            assert train.n == (2 * n + 2) // 3 and test.n >= 1, n
+            assert train.n + test.n == n, n
 
     def test_deterministic_partition(self):
         data = Dataset.univariate(np.arange(10.0), [0, 1] * 5)
