@@ -4,19 +4,21 @@ Subcommands::
 
     fit          fit one or more links to a CSV and print coefficients
     structural   nested R x S probit-on-logit slope experiment
-    predictive   paired test-error replication study
+    predictive   paired test-error replication study on a CSV
     concordance  sign-disagreement grid between links
-    ic           AIC/BIC replication study
+    ic           AIC/BIC replication study on a CSV
     gen          write a synthetic dataset CSV
     cdfgrid      write plot-ready CDF/density curves
 
-Every subcommand is a pure function of its arguments, its seed and its
-input files: reruns produce byte-identical output, including under
-different ``--jobs`` values.  CSV input needs a header row, "."-decimal
-numeric cells and a 0/1 response column (``--response``, default "y");
-missing and non-finite values abort ingestion.  Exit status is 0 when
-the computation completed with at most ``--max-invalid-frac`` failed
-replicates, 3 when more replicates failed, and 1 on any error.
+``predictive`` and ``ic`` read their data only from a CSV; for simulated
+data, ``gen`` writes one first.  Every subcommand is a pure function of
+its arguments, its seed and its input files: reruns produce
+byte-identical output, including under different ``--jobs`` values.  CSV
+input needs a header row, "."-decimal numeric cells and a 0/1 response
+column (``--response``, default "y"); missing and non-finite values
+abort ingestion.  Exit status is 0 when the computation completed with
+at most ``--max-invalid-frac`` failed replicates, 3 when more replicates
+failed, and 1 on any error.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import os
 import sys
 
@@ -58,8 +61,11 @@ EXIT_TOO_MANY_INVALID = 3
 
 
 def _full(x: float) -> str:
-    """Full-precision, round-trippable decimal text; NaN becomes empty."""
-    if isinstance(x, float) and math.isnan(x):
+    """Full-precision, round-trippable decimal text; an integer stays an
+    integer and NaN becomes empty."""
+    if isinstance(x, numbers.Integral):
+        return str(int(x))
+    if math.isnan(x):
         return ""
     return repr(float(x))
 
@@ -158,14 +164,15 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip())
 
 
-def _stats_table(per_link: dict[LinkKind, SummaryStats], decimals: int) -> None:
-    links = list(per_link)
-    headers = ["statistic"] + [str(link) for link in links]
+def _stats_table(columns: dict[object, SummaryStats], decimals: int) -> None:
+    """Print one row per statistic and one column per key, headed by the
+    key's ``str``; NaN prints as an empty cell."""
+    headers = ["statistic"] + [str(key) for key in columns]
     rows = []
     for stat in STAT_ORDER:
         row = [stat]
-        for link in links:
-            value = getattr(per_link[link], stat)
+        for summary in columns.values():
+            value = getattr(summary, stat)
             row.append("" if math.isnan(value) else f"{value:.{decimals}f}")
         rows.append(row)
     _print_table(headers, rows)
@@ -282,18 +289,13 @@ def cmd_structural(args) -> int:
     _check_replication_flags(args)
     cfg = _gen_config(args)
     report = structural_sim(cfg, args.reps, args.inner, args.seed, jobs=args.jobs)
-    rows = [
-        [
-            str(r),
-            _full(report.theta_hats[r]),
-            _full(report.tau_hats[r]),
-            _full(report.rho_hats[r]),
-            _full(report.r_squared[r]),
-            str(int(report.dropped[r])),
-        ]
-        for r in range(args.reps)
-    ]
-    _write_csv(args.out, ["replicate", "theta", "tau", "rho", "r_squared", "dropped"], rows)
+    _write_replicate_csv(args.out, {
+        "theta": report.theta_hats,
+        "tau": report.tau_hats,
+        "rho": report.rho_hats,
+        "r_squared": report.r_squared,
+        "dropped": report.dropped,
+    })
     invalid = int(np.sum(~np.isfinite(report.theta_hats)))
     print(f"structural run: R={args.reps} S={args.inner} n={cfg.n} "
           f"truth={cfg.truth_link} seed={args.seed}")
@@ -302,19 +304,13 @@ def cmd_structural(args) -> int:
         valid_r2 = report.r_squared[np.isfinite(report.r_squared)]
         print(f"median r_squared: {np.median(valid_r2):.4f}")
         print("theta summary:")
-        for stat in STAT_ORDER:
-            value = getattr(report.theta_summary, stat)
-            text = "" if math.isnan(value) else f"{value:.4f}"
-            print(f"  {stat:<9} {text}")
+        _stats_table({"theta": report.theta_summary}, decimals=4)
     return _invalid_exit(invalid, args.reps, args.max_invalid_frac)
 
 
 def cmd_predictive(args) -> int:
     links, plan = _paired_setup(args)
-    if args.csv is not None:
-        data = read_dataset_csv(args.csv, args.response)
-    else:
-        data = generate_dataset(_gen_config(args), args.seed, 0)
+    data = read_dataset_csv(args.csv, args.response)
     reports = predictive_sim(data, links, plan, jobs=args.jobs)
     _write_replicate_csv(args.out, {str(link): reports[link].values for link in links})
     print(f"test errors over R={args.reps} splits "
@@ -406,23 +402,23 @@ def cmd_cdfgrid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_generator_flags(p, *, design, interval, mean, sd, truth, beta0, beta1, n):
-    p.add_argument("--design", choices=["equispaced", "gaussian"], default=design,
+def _add_generator_flags(p):
+    p.add_argument("--design", choices=["equispaced", "gaussian"], default="equispaced",
                    help="x design (default %(default)s)")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
-                   default=list(interval), help="equispaced bounds (default %(default)s)")
-    p.add_argument("--mean", type=float, default=mean,
+                   default=[0.0, 1.0], help="equispaced bounds (default %(default)s)")
+    p.add_argument("--mean", type=float, default=0.0,
                    help="gaussian design mean (default %(default)s)")
-    p.add_argument("--sd", type=float, default=sd,
+    p.add_argument("--sd", type=float, default=1.0,
                    help="gaussian design sd (default %(default)s)")
-    p.add_argument("--truth-link", default=truth,
+    p.add_argument("--truth-link", default="cauchit",
                    choices=[k.value for k in LinkKind],
                    help="data-generating link (default %(default)s)")
-    p.add_argument("--beta0", type=float, default=beta0,
+    p.add_argument("--beta0", type=float, default=0.0,
                    help="true intercept (default %(default)s)")
-    p.add_argument("--beta1", type=float, default=beta1,
+    p.add_argument("--beta1", type=float, default=0.5,
                    help="true slope (default %(default)s)")
-    p.add_argument("--n", type=int, default=n,
+    p.add_argument("--n", type=int, default=199,
                    help="sample size (default %(default)s)")
 
 
@@ -467,19 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("structural", help="nested R x S slope experiment")
-    _add_generator_flags(p, design="equispaced", interval=(0.0, 1.0), mean=0.0,
-                         sd=1.0, truth="cauchit", beta0=0.0, beta1=0.5, n=199)
+    _add_generator_flags(p)
     p.add_argument("--inner", "-S", type=int, default=199,
                    help="datasets per replicate (default %(default)s)")
     _add_replication_flags(p, reps=99, out="theta.csv")
     p.set_defaults(handler=cmd_structural)
 
     p = sub.add_parser("predictive", help="paired test-error study")
-    p.add_argument("--csv", default=None, help="input CSV; omit to generate data")
+    p.add_argument("--csv", required=True, help="input CSV with a header row")
     p.add_argument("--response", default="y", help="response column (default %(default)s)")
     p.add_argument("--links", default="all", help="comma list or 'all' (default)")
-    _add_generator_flags(p, design="gaussian", interval=(0.0, 1.0), mean=0.0,
-                         sd=2.0, truth="cauchit", beta0=1.0, beta1=2.0, n=500)
     _add_replication_flags(p, reps=1000, out="te.csv")
     p.set_defaults(handler=cmd_predictive)
 
@@ -505,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ic)
 
     p = sub.add_parser("gen", help="write a synthetic dataset CSV")
-    _add_generator_flags(p, design="equispaced", interval=(0.0, 1.0), mean=0.0,
-                         sd=1.0, truth="cauchit", beta0=0.0, beta1=0.5, n=199)
+    _add_generator_flags(p)
     p.add_argument("--seed", type=int, default=0,
                    help="stream seed (default %(default)s)")
     p.add_argument("--out", default="dataset.csv",

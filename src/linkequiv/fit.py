@@ -170,7 +170,6 @@ class FitResult:
     bic: float
     iterations: int
     converged: bool
-    grad_norm: float
     warnings: tuple[str, ...]
     n_obs: int
 
@@ -461,9 +460,7 @@ def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
     This is ``fit_stack`` on the single response row.  Convergence is
-    declared when the Newton decrement g'd drops to ``SOLVER_TOL``;
-    ``grad_norm``, the score infinity-norm at the returned coefficients,
-    is a diagnostic only.
+    declared when the Newton decrement g'd drops to ``SOLVER_TOL``.
     Identical inputs produce bit-identical coefficients.  A
     suspected-separation condition, or a fit that reaches
     ``MAX_ITERATIONS`` unconverged, is reported through
@@ -494,7 +491,6 @@ def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
         bic=bic,
         iterations=iterations,
         converged=converged,
-        grad_norm=float(np.abs(score(spec, beta, data)).max(initial=0.0)),
         warnings=tuple(warnings),
         n_obs=data.n,
     )

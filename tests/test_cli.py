@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,18 @@ def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"
     assert run("structural", "-R", 3, "-S", 20, *args, "--seed", 5, "--out", out) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def readme_cli_examples():
+    """The ``linkequiv ...`` lines of the README's ``## CLI`` code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("linkequiv ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_example_parses(line):
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestFit:
@@ -260,12 +274,24 @@ class TestPredictive:
         positions = [printed.index(f"\n{stat} ") for stat in order]
         assert positions == sorted(positions)
 
-    def test_generator_mode(self, tmp_path):
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        return err[0]
+
+    def test_csv_required(self, tmp_path, capsys):
         out = tmp_path / "te.csv"
-        code = run("predictive", "-R", 4, "--n", 120, "--seed", 5, "--out", out,
-                   "--links", "probit,logit")
-        assert code == EXIT_OK
-        assert len(read_rows(out)) == 5
+        assert run("predictive", "-R", 3, "--out", out) == EXIT_ERROR
+        assert "--csv" in self._one_error_line(capsys)
+        assert not out.exists()
+
+    def test_generator_flag_rejected(self, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "te.csv"
+        assert run("predictive", "--csv", dataset_csv, "-R", 3, "--n", 50,
+                   "--out", out) == EXIT_ERROR
+        assert "--n" in self._one_error_line(capsys)
+        assert not out.exists()
 
     def test_flaky_fits_flip_exit_status(self, tmp_path):
         """A dataset with a single positive label makes many training

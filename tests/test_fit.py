@@ -706,7 +706,6 @@ class TestInformationCriteria:
             bic=k * math.log(n) - 2 * loglik,
             iterations=1,
             converged=converged,
-            grad_norm=0.0,
             warnings=(),
             n_obs=n,
         )
