@@ -253,6 +253,17 @@ class TestFitMle:
             with pytest.raises(SeparationError, match="single value"):
                 fit_mle(ModelSpec(link), Dataset.intercept_only([label] * 10))
 
+    def test_model_without_coefficients(self):
+        """No intercept and no predictor: the likelihood is that of
+        eta = 0, with nothing to solve and nothing to warn about."""
+        data = Dataset.intercept_only([1, 0, 1, 1, 0])
+        result = fit_mle(ModelSpec(LinkKind.LOGIT, intercept=False), data)
+        assert result.coefficients.shape == (0,)
+        assert result.loglik == 5 * math.log(0.5)
+        assert result.converged
+        assert result.iterations == 0
+        assert result.warnings == ()
+
     def test_separable_data_warns_instead_of_aborting(self):
         x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
         y = (x > 0).astype(float)
