@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateSampleError
+from .fit import _check_entries
 
 __all__ = [
     "UnivariateSample",
@@ -54,10 +55,7 @@ class UnivariateSample:
             raise ArgumentError("x must be a non-empty vector")
         if y.shape != x.shape:
             raise ArgumentError("x and y must have equal length")
-        if not np.all(np.isfinite(x)):
-            raise ArgumentError("x entries must be finite")
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ArgumentError("y entries must be exactly 0 or 1")
+        _check_entries(x, y)
         # the float check matters: subnormal x can be nonzero while x*x
         # underflows, leaving the kernel denominator zero
         if float(np.sum(x * x)) == 0.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ExperimentError, _check_count
-from .fit import Dataset, ModelSpec, StackFit, _aic_bic, fit_stack
+from .fit import Dataset, ModelSpec, StackFit, _aic_bic, _model_matrix, fit_stack
 from .links import LinkKind, cdf
 from .parallel import replicate_map
 from .rng import substream
@@ -65,7 +65,7 @@ class Classifier:
 
     @property
     def n_features(self) -> int:
-        return self.coefficients.size - (1 if self.spec.intercept else 0)
+        return self.coefficients.size - self.spec.coefficient_count(0)
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,7 @@ def _points_matrix(c: Classifier, x) -> tuple[np.ndarray, bool]:
 def predict_prob(c: Classifier, x):
     """F(eta(x)) for a single point (1-d) or a matrix of row points."""
     pts, single = _points_matrix(c, x)
-    if c.spec.intercept:
-        eta = pts @ c.coefficients[1:] + c.coefficients[0]
-    else:
-        eta = pts @ c.coefficients
-    prob = cdf(c.spec.link, eta)
+    prob = cdf(c.spec.link, _model_matrix(pts, c.spec.intercept) @ c.coefficients)
     return float(prob[0]) if single else prob
 
 
@@ -174,14 +170,10 @@ _BLOCK_ELEMENTS = 1 << 16
 def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
     """Test error of each row of a stacked training fit on its own test
-    set, (B, m, p) points with (B, m) labels, scored with one ``cdf``
-    call; NaN where that row's fit failed."""
+    set, (B, m, k) model matrices with (B, m) labels, scored with one
+    ``cdf`` call; NaN where that row's fit failed."""
     ok = fit.ok
-    beta = fit.coefficients[ok]
-    if spec.intercept:
-        eta = (points[ok] @ beta[:, 1:, None])[..., 0] + beta[:, :1]
-    else:
-        eta = (points[ok] @ beta[:, :, None])[..., 0]
+    eta = (points[ok] @ fit.coefficients[ok, :, None])[..., 0]
     out = np.full(ok.shape, np.nan)
     out[ok] = np.mean((cdf(spec.link, eta) >= 0.5) != labels[ok], axis=1)
     return out
@@ -203,7 +195,7 @@ def _paired_block(args) -> np.ndarray:
     train, test = (np.stack(idx) for idx in zip(
         *(_split_indices(data.n, plan, r) for r in replicates)))
     predictors, responses = data.predictors[train], data.response[train]
-    points, labels = data.predictors[test], data.response[test]
+    points, labels = _model_matrix(data.predictors[test], intercept), data.response[test]
     out = np.empty((3, len(replicates), len(links)))
     for j, link in enumerate(links):
         spec = ModelSpec(link, intercept=intercept)

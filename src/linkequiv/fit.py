@@ -443,17 +443,11 @@ def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:
-    if beta.size == 0:
-        return False
-    scaled = np.abs(beta.copy())
-    if data.p > 0:
-        sds = data.predictors.std(axis=0)
-        sds = np.where(sds > 0.0, sds, 1.0)
-        if spec.intercept:
-            scaled[1:] *= sds
-        else:
-            scaled *= sds
-    return bool(np.any(scaled > SEPARATION_BOUND))
+    """Whether any |coefficient|, scaled by its model-matrix column's sd,
+    exceeds ``SEPARATION_BOUND``; a column with sd 0, such as the
+    intercept's, keeps its coefficient's own scale."""
+    sds = _model_matrix(data.predictors, spec.intercept).std(axis=0)
+    return bool(np.any(np.abs(beta) * np.where(sds > 0.0, sds, 1.0) > SEPARATION_BOUND))
 
 
 def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import math
 import shlex
 from pathlib import Path
@@ -124,6 +125,16 @@ def test_readme_cli_example_parses(line):
     cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_console_script_target_resolves():
+    """``[project.scripts]`` names an importable callable; the suite runs
+    from the source tree, so nothing else checks it."""
+    tomllib = pytest.importorskip("tomllib")
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = tomllib.loads(text)["project"]["scripts"]["linkequiv"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
 class TestFit:
     def test_round_trips_generated_csv(self, dataset_csv, capsys):
         assert run("fit", dataset_csv) == EXIT_OK
@@ -153,6 +164,16 @@ class TestFit:
         path.write_text("x,y\n" + "".join(f"{v},1\n" for v in np.linspace(0, 1, 9)))
         assert run("fit", path) == EXIT_ERROR
         assert "single value" in capsys.readouterr().err
+
+    def test_separated_data_fits_with_notes(self, tmp_path, capsys):
+        """Complete separation is reported on stderr as notes, not errors."""
+        path = tmp_path / "sep.csv"
+        path.write_text("x,y\n0,0\n1,0\n2,0\n3,1\n4,1\n5,1\n")
+        assert run("fit", path, "--links", "all") == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("note: ") for line in lines)
+        assert "note: logit: separation_suspected" in lines
+        assert "note: cauchit: max_iterations_reached" in lines
 
     def test_missing_value_aborts(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"
@@ -501,6 +522,15 @@ class TestCdfGrid:
         logit_cdf = np.array([float(r[2]) for r in read_rows(a)[1:]])
         probit_cdf = np.array([float(r[2]) for r in read_rows(b)[1:]])
         assert np.max(np.abs(logit_cdf - probit_cdf)) <= 0.02
+
+    @pytest.mark.parametrize("args", [("--interval", 1, 1), ("--s", 1)],
+                             ids=["empty-interval", "one-point"])
+    def test_bad_grid_exits_one_and_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "g.csv"
+        assert run("cdfgrid", *args, "--out", out) == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     def test_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -11,6 +11,7 @@ from linkequiv import (
     Dataset,
     DegenerateSampleError,
     Equispaced,
+    ExperimentError,
     Gaussian,
     GenConfig,
     LinkEquivError,
@@ -241,6 +242,13 @@ class TestStructuralSim:
             b = fit_mle(spec, flipped).coefficients
             np.testing.assert_array_equal(a, -b)
 
+    def test_every_replicate_invalid_raises(self):
+        """Two rows per dataset leave no replicate with a slope line."""
+        cfg = GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.CAUCHIT,
+                        beta0=0.0, beta1=0.5, n=2)
+        with pytest.raises(ExperimentError, match="every replicate was invalid"):
+            structural_sim(cfg, R=1, S=3, seed=0)
+
     def test_validation(self):
         with pytest.raises(ArgumentError):
             structural_sim(EXAMPLE_ONE, R=0, S=10, seed=0)
@@ -250,6 +258,10 @@ class TestStructuralSim:
 
 GAUSSIAN_INTERCEPT = GenConfig(design=Gaussian(0.0, 1.0), truth_link=LinkKind.LOGIT,
                                beta0=0.4, beta1=1.0, n=80)
+
+
+# two response rows over eight points, each with both classes
+MIXED_ROWS = np.array([[0, 1, 0, 1, 1, 0, 1, 1], [1, 0, 0, 1, 0, 1, 1, 0]], dtype=float)
 
 
 class TestStackedDraw:
@@ -271,6 +283,19 @@ class TestStackedDraw:
         without = _slope_line(x[:, None], np.delete(y, 4, axis=0), intercept=False)
         assert with_bad[4] == 1 and without[4] == 0
         assert with_bad[:4] == without[:4]
+
+    def test_fewer_than_three_fitted_rows_give_nan(self):
+        x = np.linspace(0.0, 1.0, 8)
+        Y = np.vstack([MIXED_ROWS, np.zeros(8), np.ones(8), np.zeros(8)])
+        out = _slope_line(x[:, None], Y, intercept=False)
+        assert np.isnan(out[:4]).all() and out[4] == 3
+
+    def test_zero_variance_logit_slopes_give_nan(self):
+        """Identical rows give identical logit slopes, so the slope line
+        is undefined; no row is dropped."""
+        x = np.linspace(0.0, 1.0, 8)
+        out = _slope_line(x[:, None], np.tile(MIXED_ROWS[0], (4, 1)), intercept=False)
+        assert np.isnan(out[:4]).all() and out[4] == 0
 
     def test_matches_per_dataset_fits(self):
         """The stacked solves give the slopes of one fit_mle per row."""
@@ -321,6 +346,14 @@ class TestPredictiveSim:
         report = out[LinkKind.PROBIT]
         valid = report.values[np.isfinite(report.values)]
         assert report.stats.mean == pytest.approx(summarize(valid).mean, abs=1e-15)
+
+    def test_too_few_usable_replicates_raises(self):
+        """With one positive, a training set without it is single-valued
+        and its fit fails."""
+        x = np.linspace(-1.0, 1.0, 12)
+        data = Dataset.univariate(x, np.append(np.zeros(11), 1.0))
+        with pytest.raises(ExperimentError, match="logit: fewer than 2 usable replicates"):
+            predictive_sim(data, [LinkKind.LOGIT], SplitPlan(2, seed=2))
 
     def test_single_replicate_rejected(self):
         data = _real_data()
