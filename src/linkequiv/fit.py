@@ -361,15 +361,18 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
     step = np.zeros(S)
     ll = np.full(S, np.nan)
     rows = np.flatnonzero(running)
-    ll[rows], first = _likelihood(link, *stack_of(rows), beta[rows])
-    # the log terms of every row's current point
-    parts = [np.zeros(sign.shape) for _ in first]
-    for kept, new in zip(parts, first):
-        kept[rows] = new
+    ll[rows], parts = _likelihood(link, *stack_of(rows), beta[rows])
+    # the log terms of every row's current point; while every row runs and
+    # takes its probe, the arrays of the last likelihood pass, uncopied
+    if rows.size < S:
+        first, parts = parts, [np.zeros(sign.shape) for _ in parts]
+        for kept, new in zip(parts, first):
+            kept[rows] = new
     while running.any():
         fresh = np.flatnonzero(running & (step == 0.0))
         if fresh.size:
-            g, H = _derivatives(link, *stack_of(fresh), [kept[fresh] for kept in parts])
+            kept = parts if fresh.size == S else [part[fresh] for part in parts]
+            g, H = _derivatives(link, *stack_of(fresh), kept)
             newton, failures = _directions(H, g)
             for pos, reason in failures.items():
                 errors[fresh[pos]] = NumericalError(reason)
@@ -396,8 +399,11 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
         taken = rows[take]
         beta[taken] = candidate[take]
         ll[taken] = c_ll[take]
-        for kept, new in zip(parts, c_parts):
-            kept[taken] = new[take]
+        if taken.size == S:
+            parts = c_parts
+        else:
+            for kept, new in zip(parts, c_parts):
+                kept[taken] = new[take]
         iterations[taken] += 1
         step[rows] = np.where(take, 0.0, 0.5 * step[rows])
         halved_out = step[rows] < 0.5 ** MAX_HALVINGS
