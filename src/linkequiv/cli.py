@@ -128,10 +128,10 @@ def read_dataset_csv(path: str, response: str) -> Dataset:
         raise ArgumentError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ArgumentError(f"{path}: no data rows")
-    y = np.asarray(ys)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ArgumentError(f"{path}: response column {response!r} must be 0/1")
-    return Dataset(np.asarray(rows, dtype=float), y, names)
+    try:
+        return Dataset(np.asarray(rows, dtype=float), np.asarray(ys), names)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{path}: {exc}") from None
 
 
 def _write_csv(path: str, header, rows) -> None:

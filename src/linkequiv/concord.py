@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ExperimentError, _check_count
-from .fit import Dataset, ModelSpec, StackFit, _aic_bic, _model_matrix, fit_stack
+from .fit import Dataset, ModelSpec, StackFit, _aic_bic, _fit_links, _model_matrix
 from .links import LinkKind, cdf
 from .parallel import replicate_map
 from .rng import substream
@@ -190,16 +190,17 @@ def _paired_block(args) -> np.ndarray:
     under L links.  Each split is drawn once, and one fancy index each
     gathers all B training sets and all B test sets; every training set
     has the same number of rows, so each link is fitted to all B of them
-    in one stacked solve and scores all B test sets at once."""
+    in one stacked solve (``fit._fit_links``: logit first, then probit
+    and cauchit from its fit) and scores all B test sets at once."""
     data, links, plan, intercept, replicates = args
     train, test = (np.stack(idx) for idx in zip(
         *(_split_indices(data.n, plan, r) for r in replicates)))
     predictors, responses = data.predictors[train], data.response[train]
     points, labels = _model_matrix(data.predictors[test], intercept), data.response[test]
     out = np.empty((3, len(replicates), len(links)))
+    fits = _fit_links(links, intercept, predictors, responses)
     for j, link in enumerate(links):
-        spec = ModelSpec(link, intercept=intercept)
-        fit = fit_stack(spec, predictors, responses)
+        spec, fit = ModelSpec(link, intercept=intercept), fits[link]
         # the scorers stay functions of their own because perfbench/spans.py
         # traces them by name
         out[0, :, j] = _ate_replicate(spec, fit, points, labels)

@@ -31,7 +31,7 @@ import numpy as np
 # (perfbench/spans.py) looks it up as equiv._ic_replicate.
 from .concord import SplitPlan, _ic_replicate, _paired_pass  # noqa: F401
 from .errors import ArgumentError, DegenerateSampleError, ExperimentError, _check_count
-from .fit import Dataset, ModelSpec, fit_stack
+from .fit import Dataset, _fit_links
 from .links import LinkKind, cdf
 from .parallel import replicate_map
 from .rng import substream
@@ -220,10 +220,11 @@ def _structural_replicate(args) -> tuple[float, float, float, float, int]:
 def _slope_line(predictors, responses, intercept: bool) -> tuple[float, float, float, float, int]:
     """(theta, tau, rho, r2, dropped) of the probit slopes on the logit
     slopes over the S rows of one stacked draw, each link fitted in one
-    stacked solve.  Rows whose logit or probit fit fails are dropped
-    pairwise; fewer than three surviving pairs give NaN statistics."""
-    logit = fit_stack(ModelSpec(LinkKind.LOGIT, intercept=intercept), predictors, responses)
-    probit = fit_stack(ModelSpec(LinkKind.PROBIT, intercept=intercept), predictors, responses)
+    stacked solve, probit from the start ``fit._fit_links`` gives it.
+    Rows whose logit or probit fit fails are dropped pairwise; fewer than
+    three surviving pairs give NaN statistics."""
+    fits = _fit_links((LinkKind.LOGIT, LinkKind.PROBIT), intercept, predictors, responses)
+    logit, probit = fits[LinkKind.LOGIT], fits[LinkKind.PROBIT]
     keep = logit.ok & probit.ok
     dropped = int(keep.size - keep.sum())
     nan = float("nan")

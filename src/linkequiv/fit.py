@@ -33,8 +33,10 @@ also stops at the constant ``MAX_ITERATIONS`` iterations.  One batched
 solve gives the directions of every row in a pass; a row whose
 information is not finite or exactly singular fails alone.  A row whose
 response takes a single value has no maximum and is refused before the
-loop.  Iterates start from zero, which keeps runs reproducible bit for
-bit.
+loop.  Iterates start from zero or from the caller's ``start``, so a run
+is reproducible bit for bit.  ``_fit_links`` fits logit first and starts
+each probit or cauchit row from its factor (``links._LOGIT_FACTOR``)
+times that row's logit fit, where that fit converged.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DomainError, LinkEquivError, NumericalError, SeparationError
-from .links import _LOG_TERMS, _WEIGHTS, LinkKind
+from .links import _LOG_TERMS, _LOGIT_FACTOR, _WEIGHTS, LinkKind
 
 __all__ = [
     "Dataset",
@@ -199,7 +201,7 @@ def _check_entries(predictors: np.ndarray, responses: np.ndarray) -> None:
     if not np.all(np.isfinite(predictors)):
         raise ArgumentError("predictor entries must be finite")
     if not np.all((responses == 0.0) | (responses == 1.0)):
-        raise ArgumentError("response entries must be exactly 0 or 1")
+        raise ArgumentError("response entries must be 0/1")
 
 
 def _model_matrix(predictors: np.ndarray, intercept: bool) -> np.ndarray:
@@ -319,12 +321,13 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
     return direction, failures
 
 
-def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
+def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> StackFit:
     """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
-    transposed model matrix, (k, n) or (S, k, n), and ``Y`` the (S, n)
-    responses.
+    transposed model matrix, (k, n) or (S, k, n), ``Y`` the (S, n)
+    responses and ``beta`` the (S, k) starting points, which the solver
+    overwrites.
 
-    A first likelihood pass evaluates every row at zero.  Each row then
+    A first likelihood pass evaluates every row at its start.  Each row then
     carries its own line-search step, 0 while it sits at a new point.
     Every pass of the loop first turns the log terms that the rows at
     step 0 left into their score, information and direction, and sets
@@ -354,7 +357,6 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
         for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
             errors[i] = SeparationError("response takes a single value; coefficients diverge")
     running = np.array([e is None for e in errors])
-    beta = np.zeros((S, k))
     direction = np.zeros((S, k))
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
@@ -422,12 +424,15 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray) -> StackFit:
     )
 
 
-def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
+def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
     """Fit S datasets in one batched solve.
 
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
-    per row.  Row i ends where ``fit_mle`` ends on dataset i, and has
+    per row.  ``start`` is a finite (k,) point shared by every row or an
+    (S, k) stack of them; without it every row starts at zero.  Row i
+    ends where a one-row ``fit_stack`` from start i ends on dataset i
+    (``fit_mle`` when that start is zero), and has
     converged when its Newton decrement fell in [0, ``SOLVER_TOL``]; a
     row stops unconverged at ``MAX_ITERATIONS`` iterations at the latest.
     Each row line-searches at its own step, so the stack makes as many
@@ -445,7 +450,33 @@ def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    return _newton(spec.link, _transposed(_model_matrix(P, spec.intercept)), Y)
+    S, k = Y.shape[0], spec.coefficient_count(P.shape[-1])
+    beta = np.zeros(k) if start is None else np.asarray(start, dtype=float)
+    if beta.shape not in ((k,), (S, k)):
+        raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
+    if not np.isfinite(beta).all():
+        raise ArgumentError("start entries must be finite")
+    Xt = _transposed(_model_matrix(P, spec.intercept))
+    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)).copy())
+
+
+def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, StackFit]:
+    """``fit_stack`` of the same stack under each link, logit first.  A
+    probit or cauchit row starts at its link's factor times that row's
+    logit coefficients where the logit fit converged, and at zero where it
+    did not or logit is not among ``links``; every other row starts at
+    zero.  A start depends only on its own row, so blocking does not
+    change any fit."""
+    fits: dict[LinkKind, StackFit] = {}
+    for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
+        start = None
+        logit = fits.get(LinkKind.LOGIT)
+        if logit is not None and link in _LOGIT_FACTOR:
+            start = np.where(logit.converged[:, None],
+                             _LOGIT_FACTOR[link] * logit.coefficients, 0.0)
+        fits[link] = fit_stack(ModelSpec(link, intercept=intercept), predictors, responses,
+                               start)
+    return fits
 
 
 def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> bool:

@@ -327,3 +327,12 @@ def logistic_normal_scale() -> float:
     approximately standard normal; equivalently the slope ratio that makes
     the two CDFs agree at the origin to first order."""
     return math.sqrt(math.pi / 8.0)
+
+
+# a probit or cauchit coefficient is about this factor times the logit one
+# on the same data (the paper's structural equivalence); the solver starts
+# such a fit from that multiple of a converged logit fit
+_LOGIT_FACTOR = {
+    LinkKind.PROBIT: logistic_normal_scale(),
+    LinkKind.CAUCHIT: math.pi / 4.0,
+}

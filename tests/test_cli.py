@@ -70,8 +70,8 @@ class TestGen:
 # sha256 of the predictive and ic CSVs.  The gauss predictive pin dates
 # from when every replicate and every link was fitted by its own fit_mle
 # call, and the thin one from when fits began to stop on the Newton
-# decrement; the two ic pins were re-derived when the likelihood became
-# exact in log space, without the CDF clamp.  Each agrees with the same
+# decrement; the two ic pins were re-derived when probit and cauchit fits
+# began to start from the same row's logit fit.  Each agrees with the same
 # run at every --jobs value.  "thin" has training splits without a
 # positive label, so its CSVs hold failed (empty) cells.
 PAIRED_GEN = {
@@ -84,9 +84,9 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "76717ef73c6481f0b14f451b9aa04bd9813e8c9c62a1c89f317a42b7bebe628d"),
+    ("gauss", "ic", "d2b337dec4714e22c724acedef4ecf4976ca3717569aa23914fccda9ee7d9292"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
-    ("thin", "ic", "faeb873907afa6e13980058e818c5c18fc6403e4363c4326466f6e079d5d3afa"),
+    ("thin", "ic", "fe774757190bbe5025dde69c9793935d41caf74a16a8dd0e80445cf5921ef9e7"),
 ])
 def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     path = tmp_path / "d.csv"
@@ -99,13 +99,13 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of structural CSVs as written when the likelihood became exact
-# in log space: the equispaced design (one shared x, no intercept) and the
+# sha256 of structural CSVs as written when probit fits began to start
+# from the same row's logit fit: the equispaced design (one shared x, no intercept) and the
 # gaussian design (per-row x, with an intercept)
 @pytest.mark.parametrize("args, digest", [
-    ((), "757cf1e8a088944810c06b6fd8bc9dcc93eecafb3aa5eba1600596af2c78bdd6"),
+    ((), "2f83e93823a8495e01913705058ad021b5d75a94424017e668f79e2f411bf330"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "83c4edb567d197d8f01a9d2c86f353a5ebc525f3e4ae31cb424ef673dfc69313"),
+     "5d93dadd494bb65bc9d001d1ff150a2d7f3354aa24c409e47138b68883b556a2"),
 ])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"

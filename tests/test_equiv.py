@@ -14,12 +14,12 @@ from linkequiv import (
     ExperimentError,
     Gaussian,
     GenConfig,
-    LinkEquivError,
     LinkKind,
     ModelSpec,
     SplitPlan,
     cdf,
     fit_mle,
+    fit_stack,
     generate_dataset,
     ic_compare,
     information_criteria,
@@ -402,21 +402,37 @@ def _thin_data():
     return Dataset.univariate(x, np.append(np.zeros(11), 1.0))
 
 
+# probit and cauchit coefficients over logit ones, from which the paired
+# pass starts those fits
+LOGIT_FACTORS = {LinkKind.PROBIT: math.sqrt(math.pi / 8.0), LinkKind.CAUCHIT: math.pi / 4.0}
+
+
 def loop_reference(data, links, plan, intercept):
     """The paired study one replicate and one link at a time: split, then
-    ``fit_mle``, then the test error, AIC and BIC of that fit."""
+    a one-row ``fit_stack``, then the test error, AIC and BIC of that fit.
+    Logit is fitted first; probit and cauchit start at their factor times
+    the logit coefficients where the logit fit converged, and at zero
+    otherwise."""
     shape = (plan.replications, len(links))
     te, aic, bic = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     for r in range(plan.replications):
         train, test = split(data, plan, r)
-        for j, link in enumerate(links):
+        logit = None
+        for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
+            j = links.index(link)
             spec = ModelSpec(link, intercept=intercept)
-            try:
-                fitted = fit_mle(spec, train)
-            except LinkEquivError:
+            k = spec.coefficient_count(train.p)
+            start = np.zeros(k)
+            if link in LOGIT_FACTORS and logit is not None and logit.converged[0]:
+                start = LOGIT_FACTORS[link] * logit.coefficients[0]
+            fitted = fit_stack(spec, train.predictors, train.response[None], start=start)
+            if link is LinkKind.LOGIT:
+                logit = fitted
+            if fitted.errors[0] is not None:
                 continue
-            te[r, j] = zero_one_error(Classifier(spec, fitted.coefficients), test)
-            aic[r, j], bic[r, j] = fitted.aic, fitted.bic
+            ll = fitted.loglik[0]
+            te[r, j] = zero_one_error(Classifier(spec, fitted.coefficients[0]), test)
+            aic[r, j], bic[r, j] = 2.0 * k - 2.0 * ll, k * math.log(train.n) - 2.0 * ll
     return te, aic, bic
 
 

@@ -542,6 +542,54 @@ class TestFitStack:
             fit_stack(spec, np.full((4, 1), np.inf), np.zeros((2, 4)))
 
 
+class TestStart:
+    """``fit_stack``'s ``start``: the point each row's first likelihood
+    pass evaluates."""
+
+    @pytest.mark.parametrize("start", [
+        np.zeros(2), np.zeros(4), np.zeros((5, 3)), np.zeros((6, 3, 1)), np.zeros((6, 2)),
+        np.array([0.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0]),
+        np.full((6, 3), -np.inf),
+    ])
+    def test_bad_start_rejected(self, start):
+        spec, P, Y = random_stack(substream(320), LinkKind.PROBIT)
+        with pytest.raises(ArgumentError):
+            fit_stack(spec, P, Y, start=start)
+
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_zero_start_is_the_default(self, link):
+        spec, P, Y = random_stack(substream(321), link, shared=False)
+        for start in (np.zeros(3), np.zeros((6, 3))):
+            cold, given_zero = fit_stack(spec, P, Y), fit_stack(spec, P, Y, start=start)
+            np.testing.assert_array_equal(given_zero.coefficients, cold.coefficients)
+            np.testing.assert_array_equal(given_zero.loglik, cold.loglik)
+            np.testing.assert_array_equal(given_zero.iterations, cold.iterations)
+            np.testing.assert_array_equal(given_zero.converged, cold.converged)
+            assert given_zero.errors == cold.errors
+
+    def test_single_valued_row_with_start_is_separated(self):
+        spec, P, Y = random_stack(substream(322), LinkKind.CAUCHIT, S=4)
+        Y[1] = 0.0
+        stack = fit_stack(spec, P, Y, start=np.full((4, 3), 0.5))
+        assert isinstance(stack.errors[1], SeparationError)
+        np.testing.assert_array_equal(stack.ok, [True, False, True, True])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_rows_match_one_row_fits_from_their_start(self, shared, link):
+        stream = substream(323, int(shared))
+        spec, P, Y = random_stack(stream, link, shared=shared)
+        start = stream.normal(scale=0.5, size=(Y.shape[0], 3))
+        stack = fit_stack(spec, P, Y, start=start)
+        assert stack.ok.all()
+        for i in range(Y.shape[0]):
+            row = fit_stack(spec, P if shared else P[i], Y[i:i + 1], start=start[i])
+            np.testing.assert_array_equal(stack.coefficients[i], row.coefficients[0])
+            assert stack.loglik[i] == row.loglik[0]
+            assert stack.iterations[i] == row.iterations[0]
+            assert stack.converged[i] == row.converged[0]
+
+
 def paired_draw(n):
     """The paired studies' default shape: gaussian x with sd 2, cauchit
     truth with intercept 1 and slope 2, seed 3."""
@@ -585,8 +633,65 @@ class TestStoppingRule:
             monkeypatch.setattr(fit_module, name, counted(name))
         cfg = GenConfig(Equispaced(0.0, 1.0), LinkKind.CAUCHIT, beta0=0.0, beta1=0.5, n=199)
         structural_sim(cfg, R=2, S=199, seed=42)
-        assert 0 < calls["_likelihood"] <= 30
-        assert 0 < calls["_derivatives"] <= 25
+        assert 0 < calls["_likelihood"] <= 20
+        assert 0 < calls["_derivatives"] <= 16
+
+
+def paired_training_stack(replicates):
+    """Predictors and responses of the first P500 training sets of
+    ``SplitPlan(200, seed=1)``, stacked."""
+    data = paired_draw(500)
+    plan = SplitPlan(200, seed=1)
+    training = [split(data, plan, r)[0] for r in range(replicates)]
+    return (np.stack([train.predictors for train in training]),
+            np.stack([train.response for train in training]))
+
+
+class TestWarmStart:
+    """Probit and cauchit fits started from the same row's logit fit
+    (``fit._fit_links``) against fits started from zero."""
+
+    def test_warm_rows_reach_the_cold_fit(self):
+        """Every warm-started row reaches the cold-started verdict, and its
+        coefficients move by at most the permutation test's tolerance:
+        1e-6 of the largest coefficient or standard error."""
+        P, Y = paired_training_stack(200)
+        warm = fit_module._fit_links(ALL_LINKS, True, P, Y)
+        for link in ALL_LINKS:
+            spec = ModelSpec(link)
+            cold = fit_stack(spec, P, Y)
+            np.testing.assert_array_equal(warm[link].ok, cold.ok)
+            np.testing.assert_array_equal(warm[link].converged, cold.converged)
+            assert cold.converged.all()
+            for i in range(Y.shape[0]):
+                beta = cold.coefficients[i]
+                information = observed_information(spec, beta, Dataset(P[i], Y[i]))
+                errors = np.sqrt(np.diag(np.linalg.inv(information)))
+                scale = max(np.max(np.abs(beta)), np.max(errors))
+                assert np.max(np.abs(warm[link].coefficients[i] - beta)) <= 1e-6 * scale
+
+    def test_warm_start_evaluates_fewer_elements(self, monkeypatch):
+        """On one 50-replicate P500 block, probit and cauchit evaluate
+        fewer likelihood elements warm than cold; logit and compit start
+        at zero either way.  The counts are deterministic."""
+        elements = {}
+        inner = fit_module._likelihood
+
+        def counted(link, Xt, sign, beta):
+            elements[link] = elements.get(link, 0) + sign.size
+            return inner(link, Xt, sign, beta)
+
+        monkeypatch.setattr(fit_module, "_likelihood", counted)
+        P, Y = paired_training_stack(50)
+        for link in ALL_LINKS:
+            fit_stack(ModelSpec(link), P, Y)
+        cold = dict(elements)
+        elements.clear()
+        fit_module._fit_links(ALL_LINKS, True, P, Y)
+        for link in (LinkKind.PROBIT, LinkKind.CAUCHIT):
+            assert elements[link] < cold[link]
+        for link in (LinkKind.LOGIT, LinkKind.COMPIT):
+            assert elements[link] == cold[link]
 
 
 class TestExactLikelihood:
