@@ -60,7 +60,7 @@ class TestGen:
         (("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
           "--beta1", 2, "--seed", 3, "--n", 500),
          "d2416e09f42275d1b57103cfe9b39a7ddc17a4e8e82b010d37068c3e425d7176"),
-    ])
+    ], ids=["default", "gaussian"])
     def test_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "g.csv"
         assert run("gen", *args, "--out", out) == EXIT_OK
@@ -87,7 +87,7 @@ PAIRED_GEN = {
     ("gauss", "ic", "d2b337dec4714e22c724acedef4ecf4976ca3717569aa23914fccda9ee7d9292"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
     ("thin", "ic", "fe774757190bbe5025dde69c9793935d41caf74a16a8dd0e80445cf5921ef9e7"),
-])
+], ids=["gauss-predictive", "gauss-ic", "thin-predictive", "thin-ic"])
 def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     path = tmp_path / "d.csv"
     assert run("gen", *PAIRED_GEN[data], "--out", path) == EXIT_OK
@@ -106,7 +106,7 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     ((), "2f83e93823a8495e01913705058ad021b5d75a94424017e668f79e2f411bf330"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
      "5d93dadd494bb65bc9d001d1ff150a2d7f3354aa24c409e47138b68883b556a2"),
-])
+], ids=["equispaced", "gaussian"])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"
     assert run("structural", "-R", 3, "-S", 20, *args, "--seed", 5, "--out", out) == EXIT_OK
@@ -466,7 +466,7 @@ class TestConcordance:
         ((), "c4721b4511c1e74c8f70ad509921b26f1d368858653473d40d333e8fe0db0d90"),
         (("--mode", "uniform_random", "--seed", 4, "--s", 5000),
          "3ca60fd0106ec48cebd576546ded1cbeaa64c5848fe5397d282039bbeb420051"),
-    ])
+    ], ids=["equispaced", "uniform-random"])
     def test_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "c.csv"
         assert run("concordance", *args, "--out", out) == EXIT_OK
