@@ -299,13 +299,22 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
 
 
 def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Newton directions (H + ridge)^-1 g of a stack, from one batched
-    solve, and the reason each failed row fails, keyed by its position:
-    its information is not finite, or its damped information is exactly
-    singular.  A failed row's direction is NaN."""
+    """Newton directions (H + ridge)^-1 g of a stack, and the reason each
+    failed row fails, keyed by its position: its information is not
+    finite, or its damped information is exactly singular.  A failed
+    row's direction is NaN.  When every row is finite, one batched solve
+    serves the stack; only when a row is not finite or that solve meets
+    a zero pivot are the failed rows found and solved as identity
+    systems.  Either way each row is factored alone, so a row's direction
+    does not depend on the others."""
     k = g.shape[1]
     damped = H + RIDGE * np.eye(k)
     finite = np.isfinite(damped).all(axis=(1, 2))
+    if finite.all():
+        try:
+            return np.linalg.solve(damped, g[..., None])[..., 0], {}
+        except np.linalg.LinAlgError:
+            pass
     # failed rows are solved as identity systems, so that they cannot
     # disturb the batched solve of the others
     damped[~finite] = np.eye(k)
@@ -352,6 +361,18 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
             return Xt, sign
         return (Xt if Xt.ndim == 2 else Xt[rows]), sign[rows]
 
+    def at(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``state`` at ``rows``; with every row, ``state`` itself."""
+        return state if rows.size == S else state[rows]
+
+    def put(state: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``state`` with ``values`` written at ``rows``; with every row,
+        ``values`` itself, which the caller rebinds in place of a copy."""
+        if rows.size == S:
+            return values
+        state[rows] = values
+        return state
+
     errors: list[LinkEquivError | None] = [None] * S
     if k:
         for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
@@ -363,7 +384,7 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
     step = np.zeros(S)
     ll = np.full(S, np.nan)
     rows = np.flatnonzero(running)
-    ll[rows], parts = _likelihood(link, *stack_of(rows), beta[rows])
+    ll[rows], parts = _likelihood(link, *stack_of(rows), at(beta, rows))
     # the log terms of every row's current point; while every row runs and
     # takes its probe, the arrays of the last likelihood pass, uncopied
     if rows.size < S:
@@ -373,8 +394,7 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
     while running.any():
         fresh = np.flatnonzero(running & (step == 0.0))
         if fresh.size:
-            kept = parts if fresh.size == S else [part[fresh] for part in parts]
-            g, H = _derivatives(link, *stack_of(fresh), kept)
+            g, H = _derivatives(link, *stack_of(fresh), [at(part, fresh) for part in parts])
             newton, failures = _directions(H, g)
             for pos, reason in failures.items():
                 errors[fresh[pos]] = NumericalError(reason)
@@ -383,34 +403,34 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
             # the cauchit information can be indefinite: where the Newton
             # direction does not point uphill, take the gradient instead
             uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
-            direction[fresh] = np.where(uphill[:, None], newton, g)
+            direction = put(direction, fresh, np.where(uphill[:, None], newton, g))
             # the decrement rule: this pass's probe is the row's last
-            converged[fresh] = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
-            step[fresh] = 1.0
+            converged = put(converged, fresh, (decrement >= 0.0) & (decrement <= SOLVER_TOL))
+            step = put(step, fresh, np.ones(fresh.size))
         rows = np.flatnonzero(running)
         if not rows.size:
             break
-        start = beta[rows]
-        candidate = start + step[rows, None] * direction[rows]
+        start = at(beta, rows)
+        candidate = start + at(step, rows)[:, None] * at(direction, rows)
         c_ll, c_parts = _likelihood(link, *stack_of(rows), candidate)
         # ties are accepted: near the optimum the true gain rounds below
         # the float resolution of the log-likelihood
-        accepted = c_ll >= ll[rows]
+        accepted = c_ll >= at(ll, rows)
         # an accepted step that moves no coefficient is a stall
         take = accepted & np.any(candidate != start, axis=1)
         taken = rows[take]
-        beta[taken] = candidate[take]
-        ll[taken] = c_ll[take]
         if taken.size == S:
-            parts = c_parts
+            beta, ll, parts = candidate, c_ll, c_parts
         else:
+            beta[taken] = candidate[take]
+            ll[taken] = c_ll[take]
             for kept, new in zip(parts, c_parts):
                 kept[taken] = new[take]
         iterations[taken] += 1
-        step[rows] = np.where(take, 0.0, 0.5 * step[rows])
-        halved_out = step[rows] < 0.5 ** MAX_HALVINGS
-        capped = iterations[rows] >= MAX_ITERATIONS
-        stop = converged[rows] | (~take & (accepted | halved_out)) | capped
+        step = put(step, rows, np.where(take, 0.0, 0.5 * at(step, rows)))
+        halved_out = at(step, rows) < 0.5 ** MAX_HALVINGS
+        capped = at(iterations, rows) >= MAX_ITERATIONS
+        stop = at(converged, rows) | (~take & (accepted | halved_out)) | capped
         running[rows[stop]] = False
     failed = np.array([e is not None for e in errors])
     beta[failed] = np.nan
@@ -441,6 +461,19 @@ def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
     information not finite or exactly singular) gets NaN fields and its
     exception in ``StackFit.errors``; the other rows are unaffected.
     """
+    Xt, Y = _stack_input(spec.intercept, predictors, responses)
+    S, k = Y.shape[0], Xt.shape[-2]
+    beta = np.zeros(k) if start is None else np.asarray(start, dtype=float)
+    if beta.shape not in ((k,), (S, k)):
+        raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
+    if not np.isfinite(beta).all():
+        raise ArgumentError("start entries must be finite")
+    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)).copy())
+
+
+def _stack_input(intercept: bool, predictors, responses) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed model matrix and the (S, n) responses of a stack,
+    once ``fit_stack``'s checks pass."""
     Y = np.asarray(responses, dtype=float)
     P = np.asarray(predictors, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
@@ -450,32 +483,27 @@ def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    S, k = Y.shape[0], spec.coefficient_count(P.shape[-1])
-    beta = np.zeros(k) if start is None else np.asarray(start, dtype=float)
-    if beta.shape not in ((k,), (S, k)):
-        raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
-    if not np.isfinite(beta).all():
-        raise ArgumentError("start entries must be finite")
-    Xt = _transposed(_model_matrix(P, spec.intercept))
-    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)).copy())
+    return _transposed(_model_matrix(P, intercept)), Y
 
 
 def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, StackFit]:
-    """``fit_stack`` of the same stack under each link, logit first.  A
-    probit or cauchit row starts at its link's factor times that row's
-    logit coefficients where the logit fit converged, and at zero where it
-    did not or logit is not among ``links``; every other row starts at
-    zero.  A start depends only on its own row, so blocking does not
-    change any fit."""
+    """``fit_stack`` of the same stack under each link, logit first, with
+    the stack checked and laid out once.  A probit or cauchit row starts at
+    its link's factor times that row's logit coefficients where the logit
+    fit converged, and at zero where it did not or logit is not among
+    ``links``; every other row starts at zero.  A start depends only on
+    its own row, so blocking does not change any fit."""
+    Xt, Y = _stack_input(intercept, predictors, responses)
     fits: dict[LinkKind, StackFit] = {}
     for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
-        start = None
+        start = np.zeros((Y.shape[0], Xt.shape[-2]))
         logit = fits.get(LinkKind.LOGIT)
         if logit is not None and link in _LOGIT_FACTOR:
+            # a converged row's coefficients are finite; a failed row's are
+            # NaN, and it is not converged
             start = np.where(logit.converged[:, None],
                              _LOGIT_FACTOR[link] * logit.coefficients, 0.0)
-        fits[link] = fit_stack(ModelSpec(link, intercept=intercept), predictors, responses,
-                               start)
+        fits[link] = _newton(link, Xt, Y, start)
     return fits
 
 

@@ -445,6 +445,27 @@ class TestFitStack:
         rest = fit_stack(spec, P[1:], Y[1:])
         np.testing.assert_array_equal(stack.coefficients[1:], rest.coefficients)
 
+    def test_one_solve_and_diagnosis_give_the_same_directions(self):
+        """A stack with an exactly singular row and a non-finite row goes
+        through the diagnosis; its healthy rows alone go through the one
+        batched solve.  Each healthy row gets the same direction bit for
+        bit, and each failed row its own reason and a NaN direction."""
+        rng = substream(308)
+        A = rng.normal(size=(5, 3, 3))
+        H = A @ np.swapaxes(A, 1, 2)
+        g = rng.normal(size=(5, 3))
+        # equal entries this large make the ridge vanish in rounding
+        H[1] = 1e10
+        H[3, 0, 0] = np.inf
+        direction, failures = fit_module._directions(H, g)
+        assert failures == {1: "information matrix is singular even after ridge damping",
+                            3: "observed information is not finite"}
+        assert np.isnan(direction[[1, 3]]).all()
+        healthy = [0, 2, 4]
+        alone, none = fit_module._directions(H[healthy], g[healthy])
+        assert none == {}
+        np.testing.assert_array_equal(direction[healthy], alone)
+
     def test_mixed_failure_kinds_are_found_in_one_solve(self, monkeypatch):
         """An exactly singular row and a row with non-finite information
         fail in the same call of the batched solve, each with its own
