@@ -8,8 +8,8 @@ would alone.
 
 The likelihood is exact: a likelihood pass evaluates each observation's
 term log F(eta) or log(1 - F(eta)) in log space, with no clamp; for the
-symmetric links that is log F(t) at t = (2y - 1)*eta, one transcendental
-per element (see ``links``).  A derivative pass turns the per-element
+symmetric links that is log F(t) at t = (2y - 1)*eta, which probit forms
+from one erfc per element (see ``links``).  A derivative pass turns the per-element
 arrays that a likelihood pass left into the score and the observed
 information, with no second eta, F or log evaluation.
 

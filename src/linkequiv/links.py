@@ -28,8 +28,10 @@ The MLE solver reads two private functions per link.  ``_LOG_TERMS``
 maps a linear predictor eta and the response sign s = 2y - 1 to each
 observation's exact log-likelihood term, log F(eta) where y = 1 and
 log(1 - F(eta)) where y = 0, with no clamp.  For the symmetric links
-1 - F(eta) = F(-eta), so the term is log F(t) at t = s*eta, one
-transcendental per element.  ``_WEIGHTS`` turns what that pass kept
+1 - F(eta) = F(-eta), so the term is log F(t) at t = s*eta.  Probit
+forms it from one erfc per element, e = Phi(-|t|): log(e) below t = 0
+and log1p(-e) above it, with ``log_ndtr`` only below t = -37, where e
+nears the subnormal range.  ``_WEIGHTS`` turns what that pass kept
 into the score weight u = dl/deta and the information weight
 w = -d2l/deta2, so the solver never evaluates eta, F or the log twice
 for one point.  Both stay finite and accurate in both tails, out to
@@ -175,9 +177,22 @@ _PROBIT_TAIL = -5.0
 _MILLS_LEVELS = 32
 
 
+# log Phi(t) is log(e) below t = 0 and log1p(-e) above it, from one
+# e = Phi(-|t|) = erfc(|t|/sqrt 2)/2.  Below t = -37, where e nears the
+# subnormal range, log_ndtr takes over.
+_PROBIT_DEEP = -37.0
+
+
 def _probit_log_terms(eta, s):
     t = s * eta
-    return log_ndtr(t), t
+    e = 0.5 * erfc(np.abs(t) / _SQRT2)
+    # e is 0 far out in the lower tail, where log_ndtr replaces log(e)
+    with np.errstate(divide="ignore"):
+        term = np.where(t < 0.0, np.log(e), np.log1p(-e))
+    deep = t < _PROBIT_DEEP
+    if deep.any():
+        term[deep] = log_ndtr(t[deep])
+    return term, t
 
 
 def _probit_weights(s, term, t):

@@ -70,9 +70,10 @@ class TestGen:
 # sha256 of the predictive and ic CSVs.  The gauss predictive pin dates
 # from when every replicate and every link was fitted by its own fit_mle
 # call, and the thin one from when fits began to stop on the Newton
-# decrement; the two ic pins were re-derived when probit and cauchit fits
-# began to start from the same row's logit fit.  Each agrees with the same
-# run at every --jobs value.  "thin" has training splits without a
+# decrement; the thin ic pin was re-derived when probit and cauchit fits
+# began to start from the same row's logit fit, and the gauss ic pin when
+# the probit log term began to come from one erfc.  Each agrees with the
+# same run at every --jobs value.  "thin" has training splits without a
 # positive label, so its CSVs hold failed (empty) cells.
 PAIRED_GEN = {
     "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
@@ -84,7 +85,7 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "d2b337dec4714e22c724acedef4ecf4976ca3717569aa23914fccda9ee7d9292"),
+    ("gauss", "ic", "20ccd4bc26537b1831d87d93ef6b53007ed02f66c26d13b40bdc21ce7373ae30"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
     ("thin", "ic", "fe774757190bbe5025dde69c9793935d41caf74a16a8dd0e80445cf5921ef9e7"),
 ], ids=["gauss-predictive", "gauss-ic", "thin-predictive", "thin-ic"])
@@ -99,13 +100,13 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of structural CSVs as written when probit fits began to start
-# from the same row's logit fit: the equispaced design (one shared x, no intercept) and the
-# gaussian design (per-row x, with an intercept)
+# sha256 of structural CSVs as written when the probit log term began to
+# come from one erfc: the equispaced design (one shared x, no intercept)
+# and the gaussian design (per-row x, with an intercept)
 @pytest.mark.parametrize("args, digest", [
-    ((), "2f83e93823a8495e01913705058ad021b5d75a94424017e668f79e2f411bf330"),
+    ((), "aea9e7d3ddfe00a13f1bf1aabd426e3b17a774ea4f425100900888f9b24a6098"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "5d93dadd494bb65bc9d001d1ff150a2d7f3354aa24c409e47138b68883b556a2"),
+     "920f684a8edd9a7cc8bc3173b427e4ddc12e09caf6cde1f108a7b53672f69b61"),
 ], ids=["equispaced", "gaussian"])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"

@@ -17,7 +17,7 @@ from linkequiv import (
     logistic_normal_scale,
     quantile,
 )
-from linkequiv.links import _LOG_TERMS, _WEIGHTS
+from linkequiv.links import _LOG_TERMS, _PROBIT_DEEP, _WEIGHTS
 
 ALL_LINKS = list(LinkKind)
 SYMMETRIC = [LinkKind.PROBIT, LinkKind.LOGIT, LinkKind.CAUCHIT]
@@ -210,11 +210,13 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-# the body, both clamp tails, the compit exp() cap near 700 and overflow of
-# u*u and exp() out to |u| = 1e300
+# the body, both clamp tails, both sides of the probit log term's hand-off
+# from erfc to log_ndtr, the compit exp() cap near 700 and overflow of u*u
+# and exp() out to |u| = 1e300
 U_GRID = np.concatenate([
     np.linspace(-40.0, 40.0, 321),
     [0.0, -0.0, 5e-324, 1e-300, 1e-8, 3.54, 7.94, 8.3, 37.5, 38.5],
+    [np.nextafter(_PROBIT_DEEP, 0.0), _PROBIT_DEEP, np.nextafter(_PROBIT_DEEP, -np.inf)],
     [699.0, 700.0, 700.5, 709.7, 709.8, 710.0, 1e4],
     np.logspace(-3.0, 300.0, 61),
 ])
@@ -327,8 +329,8 @@ class TestLogTermsAgainstMpmath:
     """The solver's per-observation log-likelihood term and its two eta
     derivatives, exact in both tails on U_GRID out to |eta| = 1e300: no
     clamp, no log(0), no cancellation.  The largest relative error is
-    about 1.2e-13, at probit and compit points where exp() of a large
-    argument amplifies the rounding of that argument."""
+    about 2.3e-13, at the probit term in its upper tail, where the
+    exp(-x^2) inside erfc amplifies the rounding of x^2."""
 
     @pytest.mark.parametrize("y", [1, 0])
     @pytest.mark.parametrize("link", ALL_LINKS)
