@@ -354,16 +354,14 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
     sign = 2.0 * Y - 1.0
     S, k = Y.shape[0], Xt.shape[-2]
 
-    def stack_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The model matrices and response signs of ``rows``; with every
-        row, the stack's own arrays, uncopied."""
-        if rows.size == S:
-            return Xt, sign
-        return (Xt if Xt.ndim == 2 else Xt[rows]), sign[rows]
-
     def at(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``state`` at ``rows``; with every row, ``state`` itself."""
         return state if rows.size == S else state[rows]
+
+    def stack_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The model matrices and response signs of ``rows``; with every
+        row, the stack's own arrays, uncopied."""
+        return (Xt if Xt.ndim == 2 else at(Xt, rows)), at(sign, rows)
 
     def put(state: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``state`` with ``values`` written at ``rows``; with every row,
@@ -382,15 +380,12 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
     step = np.zeros(S)
-    ll = np.full(S, np.nan)
     rows = np.flatnonzero(running)
-    ll[rows], parts = _likelihood(link, *stack_of(rows), at(beta, rows))
+    first_ll, first = _likelihood(link, *stack_of(rows), at(beta, rows))
+    ll = put(np.full(S, np.nan), rows, first_ll)
     # the log terms of every row's current point; while every row runs and
     # takes its probe, the arrays of the last likelihood pass, uncopied
-    if rows.size < S:
-        first, parts = parts, [np.zeros(sign.shape) for _ in parts]
-        for kept, new in zip(parts, first):
-            kept[rows] = new
+    parts = [put(np.zeros(sign.shape), rows, new) for new in first]
     while running.any():
         fresh = np.flatnonzero(running & (step == 0.0))
         if fresh.size:
