@@ -381,6 +381,8 @@ def cmd_cdfgrid(args) -> int:
     a, b = args.interval
     if not a < b:
         raise ArgumentError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ArgumentError("interval width must be finite")
     if args.s < 2:
         raise ArgumentError("need at least 2 grid points")
     grid = np.linspace(a, b, args.s)

@@ -61,6 +61,8 @@ class Classifier:
             raise ArgumentError("coefficients must be a vector")
         if not np.all(np.isfinite(beta)):
             raise ArgumentError("coefficients must be finite")
+        if beta.size < self.spec.coefficient_count(0):
+            raise ArgumentError("a model with an intercept needs at least one coefficient")
         object.__setattr__(self, "coefficients", beta)
 
     @property
@@ -282,6 +284,8 @@ def sign_disagreement_grid(
         raise ArgumentError("need at least one link")
     if not a < b:
         raise ArgumentError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ArgumentError("interval width must be finite")
     if s < 2:
         raise ArgumentError("need at least 2 points")
     if mode == "equispaced":

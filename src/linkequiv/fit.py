@@ -16,27 +16,29 @@ information, with no second eta, F or log evaluation.
 The method is Newton ascent on the observed information with step
 halving: every accepted step does not decrease the log-likelihood, and
 line-search probes are likelihood passes only.  The solver is one loop
-over per-row states: each row carries its own point, log terms,
-direction and line-search step, and every pass of the loop probes each
-running row once at its own step, so no row waits for another's
-halvings.  The solver keeps the per-element arrays of each row's
-accepted point, so the row's next score and information come from the
-probe that accepted it.  Where the Newton direction does not point
-uphill (the cauchit information can be indefinite) the step falls back
-to the gradient.  A row stops when its Newton decrement g'd, d being the
-ridge-damped Newton direction, lies in [0, ``SOLVER_TOL``].  Near the
-optimum the full step gains about half the decrement, and unlike the
-score, the decrement does not change when a predictor is rescaled (Boyd
-and Vandenberghe, Convex Optimization, 9.5).  That pass's full step is
-the row's last, taken only if the log-likelihood does not fall.  A row
-also stops at the constant ``MAX_ITERATIONS`` iterations.  One batched
-solve gives the directions of every row in a pass; a row whose
-information is not finite or exactly singular fails alone.  A row whose
-response takes a single value has no maximum and is refused before the
-loop.  Iterates start from zero or from the caller's ``start``, so a run
-is reproducible bit for bit.  ``_fit_links`` fits logit first and starts
-each probit or cauchit row from its factor (``links._LOGIT_FACTOR``)
-times that row's logit fit, where that fit converged.
+over the states of the running rows only: each row carries its own
+point, log terms, direction and line-search step, every pass of the loop
+probes each running row once at its own step, so no row waits for
+another's halvings, and a row that stops writes its outcome out and
+leaves the state, so it is not evaluated again.  The solver keeps the
+per-element arrays of each row's accepted point, so the row's next score
+and information come from the probe that accepted it.  Where the Newton
+direction does not point uphill (the cauchit information can be
+indefinite) the step falls back to the gradient.  A row stops when its
+Newton decrement g'd, d being the ridge-damped Newton direction, lies in
+[0, ``SOLVER_TOL``].  Near the optimum the full step gains about half
+the decrement, and unlike the score, the decrement does not change when
+a predictor is rescaled (Boyd and Vandenberghe, Convex Optimization,
+9.5).  That pass's full step is the row's last, taken only if the
+log-likelihood does not fall.  A row also stops at the constant
+``MAX_ITERATIONS`` iterations.  One batched solve gives the directions
+of every row in a pass; a row whose information is not finite or exactly
+singular fails alone.  A row whose response takes a single value has no
+maximum and is refused before the loop.  Iterates start from zero or
+from the caller's ``start``, so a run is reproducible bit for bit.
+``_fit_links`` fits logit first and starts each probit or cauchit row
+from its factor (``links._LOGIT_FACTOR``) times that row's logit fit,
+where that fit converged.
 """
 
 from __future__ import annotations
@@ -333,106 +335,93 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
 def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> StackFit:
     """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
     transposed model matrix, (k, n) or (S, k, n), ``Y`` the (S, n)
-    responses and ``beta`` the (S, k) starting points, which the solver
-    overwrites.
+    responses and ``beta`` the (S, k) starting points.
 
-    A first likelihood pass evaluates every row at its start.  Each row then
-    carries its own line-search step, 0 while it sits at a new point.
-    Every pass of the loop first turns the log terms that the rows at
-    step 0 left into their score, information and direction, and sets
-    their step to 1; then it probes every running row at its own step in
-    one likelihood pass.  An accepted probe that moves the row becomes
-    its point, with its log-likelihood and log terms, so no point is
-    evaluated twice; a rejected one halves the row's step.  A row stops
-    after the probe of its decrement-rule pass, after an accepted probe
-    that moves no coefficient, when its halvings run out or at
-    ``MAX_ITERATIONS`` iterations, and is not evaluated again.  A row that
-    fails, here or in ``_directions``, is recorded in ``errors``.  Rows
+    The solver's state covers the running rows only: ``live`` maps each
+    position of its arrays to a stack row, and a per-row ``Xt`` and the
+    response signs are cut down with it.  A first likelihood pass
+    evaluates every row at its start.  Each row then carries its own
+    line-search step, 0 while it sits at a new point.  Every pass of the
+    loop turns the log terms of every live row into its score,
+    information and direction, keeps the direction and the decrement
+    verdict of the rows at step 0 and sets their step to 1; then it
+    probes every live row at its own step in one likelihood pass.  The
+    probe's arrays become the state, and the rows that did not take
+    their probe copy their old point, log-likelihood and log terms back,
+    so no point is evaluated twice; such a row halves its step.  A row
+    stops after the probe of its decrement-rule pass, after an accepted
+    probe that moves no coefficient, when its halvings run out or at
+    ``MAX_ITERATIONS`` iterations: it writes its outcome into the stack
+    and leaves the state, and is not evaluated again.  A row that
+    ``_directions`` fails is recorded in ``errors`` and gets a zero
+    direction, so its probe stalls and it leaves the same way.  Rows
     never wait for each other, so the stack makes as many likelihood
     passes as its slowest row would alone.
     """
-    sign = 2.0 * Y - 1.0
     S, k = Y.shape[0], Xt.shape[-2]
-
-    def at(state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``state`` at ``rows``; with every row, ``state`` itself."""
-        return state if rows.size == S else state[rows]
-
-    def stack_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The model matrices and response signs of ``rows``; with every
-        row, the stack's own arrays, uncopied."""
-        return (Xt if Xt.ndim == 2 else at(Xt, rows)), at(sign, rows)
-
-    def put(state: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``state`` with ``values`` written at ``rows``; with every row,
-        ``values`` itself, which the caller rebinds in place of a copy."""
-        if rows.size == S:
-            return values
-        state[rows] = values
-        return state
-
     errors: list[LinkEquivError | None] = [None] * S
-    if k:
-        for i in np.flatnonzero(Y.all(axis=1) | ~Y.any(axis=1)):
-            errors[i] = SeparationError("response takes a single value; coefficients diverge")
-    running = np.array([e is None for e in errors])
-    direction = np.zeros((S, k))
+    single = (Y.all(axis=1) | ~Y.any(axis=1)) & (k > 0)
+    for i in np.flatnonzero(single):
+        errors[i] = SeparationError("response takes a single value; coefficients diverge")
+    coefficients = np.full((S, k), np.nan)
+    loglik = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    step = np.zeros(S)
-    rows = np.flatnonzero(running)
-    first_ll, first = _likelihood(link, *stack_of(rows), at(beta, rows))
-    ll = put(np.full(S, np.nan), rows, first_ll)
-    # the log terms of every row's current point; while every row runs and
-    # takes its probe, the arrays of the last likelihood pass, uncopied
-    parts = [put(np.zeros(sign.shape), rows, new) for new in first]
-    while running.any():
-        fresh = np.flatnonzero(running & (step == 0.0))
-        if fresh.size:
-            g, H = _derivatives(link, *stack_of(fresh), [at(part, fresh) for part in parts])
-            newton, failures = _directions(H, g)
-            for pos, reason in failures.items():
-                errors[fresh[pos]] = NumericalError(reason)
-                running[fresh[pos]] = False
-            decrement = np.sum(g * newton, axis=1)
-            # the cauchit information can be indefinite: where the Newton
-            # direction does not point uphill, take the gradient instead
-            uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
-            direction = put(direction, fresh, np.where(uphill[:, None], newton, g))
-            # the decrement rule: this pass's probe is the row's last
-            converged = put(converged, fresh, (decrement >= 0.0) & (decrement <= SOLVER_TOL))
-            step = put(step, fresh, np.ones(fresh.size))
-        rows = np.flatnonzero(running)
-        if not rows.size:
-            break
-        start = at(beta, rows)
-        candidate = start + at(step, rows)[:, None] * at(direction, rows)
-        c_ll, c_parts = _likelihood(link, *stack_of(rows), candidate)
+    # the running rows' state: position i holds stack row live[i]
+    live = np.flatnonzero(~single)
+    X = Xt if Xt.ndim == 2 else Xt[live]
+    s = 2.0 * Y[live] - 1.0
+    b = beta[live]
+    l, parts = _likelihood(link, X, s, b)
+    step = np.zeros(live.size)
+    direction = np.zeros((live.size, k))
+    verdict = np.zeros(live.size, dtype=bool)
+    taken = np.zeros(live.size, dtype=int)
+    while live.size:
+        g, H = _derivatives(link, X, s, parts)
+        newton, failures = _directions(H, g)
+        for pos, reason in failures.items():
+            errors[live[pos]] = NumericalError(reason)
+        decrement = np.sum(g * newton, axis=1)
+        # the cauchit information can be indefinite: where the Newton
+        # direction does not point uphill, take the gradient instead
+        uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
+        turn = np.where(uphill[:, None], newton, g)
+        turn[list(failures)] = 0.0
+        fresh = step == 0.0
+        direction = np.where(fresh[:, None], turn, direction)
+        # the decrement rule: this pass's probe is the row's last
+        verdict = np.where(fresh, (decrement >= 0.0) & (decrement <= SOLVER_TOL), verdict)
+        step[fresh] = 1.0
+        candidate = b + step[:, None] * direction
+        c_l, c_parts = _likelihood(link, X, s, candidate)
         # ties are accepted: near the optimum the true gain rounds below
         # the float resolution of the log-likelihood
-        accepted = c_ll >= at(ll, rows)
+        accepted = c_l >= l
         # an accepted step that moves no coefficient is a stall
-        take = accepted & np.any(candidate != start, axis=1)
-        taken = rows[take]
-        if taken.size == S:
-            beta, ll, parts = candidate, c_ll, c_parts
-        else:
-            beta[taken] = candidate[take]
-            ll[taken] = c_ll[take]
-            for kept, new in zip(parts, c_parts):
-                kept[taken] = new[take]
-        iterations[taken] += 1
-        step = put(step, rows, np.where(take, 0.0, 0.5 * at(step, rows)))
-        halved_out = at(step, rows) < 0.5 ** MAX_HALVINGS
-        capped = at(iterations, rows) >= MAX_ITERATIONS
-        stop = at(converged, rows) | (~take & (accepted | halved_out)) | capped
-        running[rows[stop]] = False
+        stay = ~(accepted & np.any(candidate != b, axis=1))
+        candidate[stay], c_l[stay] = b[stay], l[stay]
+        for new, old in zip(c_parts, parts):
+            new[stay] = old[stay]
+        b, l, parts = candidate, c_l, c_parts
+        taken += ~stay
+        step = np.where(stay, 0.5 * step, 0.0)
+        stop = (verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
+                | (taken >= MAX_ITERATIONS))
+        if stop.any():
+            rows = live[stop]
+            coefficients[rows], loglik[rows] = b[stop], l[stop]
+            iterations[rows], converged[rows] = taken[stop], verdict[stop]
+            keep = ~stop
+            live, s, b, l, step, direction, verdict, taken = (
+                state[keep] for state in (live, s, b, l, step, direction, verdict, taken))
+            parts = [part[keep] for part in parts]
+            X = X if X.ndim == 2 else X[keep]
     failed = np.array([e is not None for e in errors])
-    beta[failed] = np.nan
-    ll[failed] = np.nan
+    coefficients[failed], loglik[failed] = np.nan, np.nan
     return StackFit(
-        coefficients=beta,
-        loglik=ll,
+        coefficients=coefficients,
+        loglik=loglik,
         iterations=iterations,
         converged=converged,
         errors=tuple(errors),

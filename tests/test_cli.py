@@ -524,8 +524,10 @@ class TestCdfGrid:
         probit_cdf = np.array([float(r[2]) for r in read_rows(b)[1:]])
         assert np.max(np.abs(logit_cdf - probit_cdf)) <= 0.02
 
-    @pytest.mark.parametrize("args", [("--interval", 1, 1), ("--s", 1)],
-                             ids=["empty-interval", "one-point"])
+    # integer bounds, since argparse reads "-1e308" as a flag
+    @pytest.mark.parametrize("args", [("--interval", 1, 1), ("--s", 1),
+                                      ("--interval", -10**308, 10**308)],
+                             ids=["empty-interval", "one-point", "overflowing-width"])
     def test_bad_grid_exits_one_and_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "g.csv"
         assert run("cdfgrid", *args, "--out", out) == EXIT_ERROR

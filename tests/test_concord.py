@@ -49,6 +49,13 @@ class TestPredictProb:
         with pytest.raises(ArgumentError):
             predict_prob(c, [1.0, 2.0])
 
+    def test_too_few_coefficients_rejected(self):
+        """An intercept model needs its intercept; a model without one
+        may have no coefficient at all."""
+        with pytest.raises(ArgumentError):
+            clf(LinkKind.LOGIT, [])
+        assert clf(LinkKind.LOGIT, [], intercept=False).n_features == 0
+
 
 class TestClassify:
     def test_positive_eta_classifies_one(self):
@@ -290,3 +297,7 @@ class TestSignDisagreementGrid:
             sign_disagreement_grid(list(LinkKind), -2.0, 2.0, 1)
         with pytest.raises(ArgumentError):
             sign_disagreement_grid(list(LinkKind), -2.0, 2.0, 100, mode="bogus")
+        # a < b, but b - a overflows
+        for mode in ("equispaced", "uniform_random"):
+            with pytest.raises(ArgumentError):
+                sign_disagreement_grid(list(LinkKind), -1e308, 1e308, 100, mode=mode)

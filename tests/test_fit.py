@@ -499,6 +499,60 @@ class TestFitStack:
         np.testing.assert_array_equal(stack.iterations[keep], rest.iterations)
         np.testing.assert_array_equal(stack.converged[keep], rest.converged)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_row_failing_mid_solve_is_dropped_alone(self, monkeypatch, shared):
+        """Row 1 of a 4-row stack fails in the third call of ``_directions``,
+        after a full step on each of its first two passes: it ends with
+        that error, NaN fields and its two iterations, no likelihood or
+        derivative pass sees it after that pass, and the other rows end
+        bit for bit where they end without it."""
+        spec, P, Y = random_stack(substream(309, int(shared)), LinkKind.LOGIT, S=4,
+                                  shared=shared)
+        keep = np.array([True, False, True, True])
+        rest = fit_stack(spec, P if shared else P[keep], Y[keep])
+        target = 2.0 * Y[1] - 1.0
+        reason = "observed information is not finite"
+        log = []
+        inner = {name: getattr(fit_module, name) for name in ("_likelihood", "_derivatives")}
+
+        def recorded(name):
+            def wrapper(link, Xt, sign, arg):
+                log.append((name, sign.copy()))
+                return inner[name](link, Xt, sign, arg)
+            return wrapper
+
+        inner_directions = fit_module._directions
+
+        def failing(H, g):
+            direction, failures = inner_directions(H, g)
+            log.append(("_directions", None))
+            if sum(name == "_directions" for name, _ in log) == 3:
+                signs = [sign for name, sign in log if name == "_derivatives"][-1]
+                pos = int(np.flatnonzero((signs == target).all(axis=1))[0])
+                direction[pos] = np.nan
+                failures[pos] = reason
+            return direction, failures
+
+        for name in inner:
+            monkeypatch.setattr(fit_module, name, recorded(name))
+        monkeypatch.setattr(fit_module, "_directions", failing)
+        stack = fit_stack(spec, P, Y)
+        assert isinstance(stack.errors[1], NumericalError) and str(stack.errors[1]) == reason
+        assert np.isnan(stack.coefficients[1]).all() and np.isnan(stack.loglik[1])
+        assert stack.iterations[1] == 2 and not stack.converged[1]
+        np.testing.assert_array_equal(stack.ok, keep)
+        np.testing.assert_array_equal(stack.coefficients[keep], rest.coefficients)
+        np.testing.assert_array_equal(stack.loglik[keep], rest.loglik)
+        np.testing.assert_array_equal(stack.iterations[keep], rest.iterations)
+        np.testing.assert_array_equal(stack.converged[keep], rest.converged)
+        # the failing pass ends where the next derivative pass begins
+        failed_at = [i for i, (name, _) in enumerate(log) if name == "_directions"][2]
+        later = [i for i, (name, _) in enumerate(log) if name == "_derivatives" and i > failed_at]
+        assert later
+        for name, signs in log[later[0]:]:
+            if signs is not None:
+                assert not (signs == target).all(axis=1).any()
+
     def test_single_fit_raises_the_row_error(self):
         x = np.arange(1.0, 41.0)
         data = Dataset(np.stack([x, x], axis=1) * 1e5, (x % 3 == 0).astype(float))
@@ -548,6 +602,37 @@ class TestFitStack:
                 assert stack.iterations[i] == row.iterations[0]
                 assert stack.converged[i] == row.converged[0]
             assert stack_passes == max(alone)
+
+    def test_stopped_rows_are_not_evaluated_again(self, monkeypatch):
+        """On the 40 flipped-label draws, whose rows halve and stop at
+        different passes, the stack's likelihood and derivative passes see
+        as many elements as its one-row solves see together, so no row is
+        evaluated after it stops."""
+        draws = [flipped_label_draw(substream(900, i)) for i in range(40)]
+        P = np.stack([x[:, None] for x, _ in draws])
+        Y = np.stack([y for _, y in draws])
+        elements = {"_likelihood": 0, "_derivatives": 0}
+
+        def counted(name):
+            inner = getattr(fit_module, name)
+
+            def wrapper(link, Xt, sign, arg):
+                elements[name] += sign.size
+                return inner(link, Xt, sign, arg)
+
+            return wrapper
+
+        for name in elements:
+            monkeypatch.setattr(fit_module, name, counted(name))
+        for link in ALL_LINKS:
+            spec = ModelSpec(link)
+            elements.update(dict.fromkeys(elements, 0))
+            fit_stack(spec, P, Y)
+            stack = dict(elements)
+            elements.update(dict.fromkeys(elements, 0))
+            for i in range(Y.shape[0]):
+                fit_stack(spec, P[i:i + 1], Y[i:i + 1])
+            assert stack == elements
 
     def test_validation(self):
         spec = ModelSpec(LinkKind.LOGIT)
