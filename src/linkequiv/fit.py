@@ -452,7 +452,7 @@ def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
         raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
     if not np.isfinite(beta).all():
         raise ArgumentError("start entries must be finite")
-    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)).copy())
+    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)))
 
 
 def _stack_input(intercept: bool, predictors, responses) -> tuple[np.ndarray, np.ndarray]:
