@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .concord import ConcordanceMatrix, SplitPlan, sign_disagreement_grid
+from .concord import ConcordanceMatrix, SplitPlan, _check_grid, sign_disagreement_grid
 from .equiv import (
     Equispaced,
     Gaussian,
@@ -379,12 +379,7 @@ def cmd_gen(args) -> int:
 def cmd_cdfgrid(args) -> int:
     links = _parse_links(args.links)
     a, b = args.interval
-    if not a < b:
-        raise ArgumentError("interval must satisfy a < b")
-    if not math.isfinite(b - a):
-        raise ArgumentError("interval width must be finite")
-    if args.s < 2:
-        raise ArgumentError("need at least 2 grid points")
+    _check_grid(a, b, args.s)
     grid = np.linspace(a, b, args.s)
     header = ["u"]
     columns = [grid]

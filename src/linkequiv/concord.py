@@ -269,6 +269,16 @@ def concordance_rate(c1: Classifier, c2: Classifier, points) -> float:
     return float(np.mean(classify(c1, pts) != classify(c2, pts)))
 
 
+def _check_grid(a: float, b: float, s) -> None:
+    """Reject a grid of ``s`` points on [a, b] unless a < b, the width
+    b - a is finite and ``s`` is an integer of at least 2."""
+    if not a < b:
+        raise ArgumentError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ArgumentError("interval width must be finite")
+    _check_count(s, "s", 2)
+
+
 def sign_disagreement_grid(
     links,
     a: float,
@@ -282,12 +292,7 @@ def sign_disagreement_grid(
     links = tuple(links)
     if not links:
         raise ArgumentError("need at least one link")
-    if not a < b:
-        raise ArgumentError("interval must satisfy a < b")
-    if not math.isfinite(b - a):
-        raise ArgumentError("interval width must be finite")
-    if s < 2:
-        raise ArgumentError("need at least 2 points")
+    _check_grid(a, b, s)
     if mode == "equispaced":
         points = np.linspace(a, b, s)
     elif mode == "uniform_random":

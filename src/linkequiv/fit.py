@@ -17,14 +17,17 @@ The method is Newton ascent on the observed information with step
 halving: every accepted step does not decrease the log-likelihood, and
 line-search probes are likelihood passes only.  The solver is one loop
 over the states of the running rows only: each row carries its own
-point, log terms, direction and line-search step, every pass of the loop
-probes each running row once at its own step, so no row waits for
-another's halvings, and a row that stops writes its outcome out and
-leaves the state, so it is not evaluated again.  The solver keeps the
-per-element arrays of each row's accepted point, so the row's next score
-and information come from the probe that accepted it.  Where the Newton
-direction does not point uphill (the cauchit information can be
-indefinite) the step falls back to the gradient.  A row stops when its
+point, log terms and line-search step, every pass of the loop probes
+each running row once at its own step, so no row waits for another's
+halvings, and a row that stops writes its outcome out and leaves the
+state, so it is not evaluated again.  The solver keeps the per-element
+arrays of each row's accepted point, so the row's next score and
+information come from the probe that accepted it.  A row that refuses
+its probe keeps its point and log terms bit for bit, so the next pass
+gives it the same direction again, at half the step; an accepted probe
+sets the step back to 1.  Where the Newton direction does not point
+uphill (the cauchit information can be indefinite) the step falls back
+to the gradient.  A row stops when its
 Newton decrement g'd, d being the ridge-damped Newton direction, lies in
 [0, ``SOLVER_TOL``].  Near the optimum the full step gains about half
 the decrement, and unlike the score, the decrement does not change when
@@ -33,12 +36,13 @@ a predictor is rescaled (Boyd and Vandenberghe, Convex Optimization,
 log-likelihood does not fall.  A row also stops at the constant
 ``MAX_ITERATIONS`` iterations.  One batched solve gives the directions
 of every row in a pass; a row whose information is not finite or exactly
-singular fails alone.  A row whose response takes a single value has no
-maximum and is refused before the loop.  Iterates start from zero or
-from the caller's ``start``, so a run is reproducible bit for bit.
-``_fit_links`` fits logit first and starts each probit or cauchit row
-from its factor (``links._LOGIT_FACTOR``) times that row's logit fit,
-where that fit converged.
+singular, or whose linear predictor is not finite, fails alone.  A row
+whose response takes a single value has no maximum and is refused before
+the loop.  Iterates start from zero or from the caller's ``start``, so a
+run is reproducible bit for bit.  ``_stack_input`` lays a stack out once
+for all of its links; ``_fit_links`` fits logit first and starts each
+probit or cauchit row from its factor (``links._LOGIT_FACTOR``) times
+that row's logit fit, where that fit converged.
 """
 
 from __future__ import annotations
@@ -242,11 +246,16 @@ def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarr
     (S,), and ``parts`` the per-element arrays of the link's log terms,
     the first of them the terms themselves, which ``_derivatives`` turns
     into the score and information.  Every product is a batched matmul,
-    so each row comes out exactly as it would on its own.
+    so each row comes out exactly as it would on its own.  A row whose
+    eta is not finite gets a NaN ``ll``, and the log terms of zero
+    coefficients.
     """
     eta = (beta[:, None, :] @ Xt)[:, 0, :]
     if not np.isfinite(eta).all():
-        raise DomainError("linear predictor must be finite")
+        overflow = ~np.isfinite(eta).all(axis=1)
+        ll, parts = _likelihood(link, Xt, sign, np.where(overflow[:, None], 0.0, beta))
+        ll[overflow] = np.nan
+        return ll, parts
     parts = _LOG_TERMS[link](eta, sign)
     return parts[0].sum(axis=-1), parts
 
@@ -264,24 +273,28 @@ def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tup
 
 
 def _one_row(spec: ModelSpec, beta, data: Dataset):
-    """The transposed model matrix, response signs and coefficients of one
-    dataset as a one-row stack."""
+    """The transposed model matrix and response signs of one dataset as a
+    one-row stack, and its likelihood pass at ``beta``; raises
+    ``DomainError`` where eta is not finite."""
     b = _checked_beta(spec, beta, data)
     Xt = _transposed(_model_matrix(data.predictors, spec.intercept))
-    return Xt, 2.0 * data.response[None] - 1.0, b[None]
+    sign = 2.0 * data.response[None] - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll, parts = _likelihood(spec.link, Xt, sign, b[None])
+    if np.isnan(ll[0]):
+        raise DomainError("linear predictor must be finite")
+    return Xt, sign, ll, parts
 
 
 def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:
     """Bernoulli log-likelihood sum(y*log(pi) + (1-y)*log(1-pi)) with
     pi = F(eta), each term evaluated in log space without a clamp; it is
     -inf only where a term overflows the double range."""
-    ll, _ = _likelihood(spec.link, *_one_row(spec, beta, data))
-    return float(ll[0])
+    return float(_one_row(spec, beta, data)[2][0])
 
 
 def _score_and_information(spec: ModelSpec, beta, data: Dataset):
-    Xt, sign, b = _one_row(spec, beta, data)
-    _, parts = _likelihood(spec.link, Xt, sign, b)
+    Xt, sign, _, parts = _one_row(spec, beta, data)
     g, H = _derivatives(spec.link, Xt, sign, parts)
     return g[0], H[0]
 
@@ -332,52 +345,67 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
     return direction, failures
 
 
-def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> StackFit:
-    """The solver behind ``fit_stack``, on validated input: ``Xt`` is the
-    transposed model matrix, (k, n) or (S, k, n), ``Y`` the (S, n)
-    responses and ``beta`` the (S, k) starting points.
+# an overflow touches only its own row, which then fails or refuses its
+# probe, so it is not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
+    """The solver behind ``fit_stack``, on a stack that ``_stack_input``
+    laid out, from the (S, k) points ``start``.
 
     The solver's state covers the running rows only: ``live`` maps each
     position of its arrays to a stack row, and a per-row ``Xt`` and the
     response signs are cut down with it.  A first likelihood pass
-    evaluates every row at its start.  Each row then carries its own
-    line-search step, 0 while it sits at a new point.  Every pass of the
-    loop turns the log terms of every live row into its score,
-    information and direction, keeps the direction and the decrement
-    verdict of the rows at step 0 and sets their step to 1; then it
-    probes every live row at its own step in one likelihood pass.  The
-    probe's arrays become the state, and the rows that did not take
-    their probe copy their old point, log-likelihood and log terms back,
-    so no point is evaluated twice; such a row halves its step.  A row
+    evaluates every row at its start, and each row then carries its
+    point, log-likelihood, log terms, line-search step and iteration
+    count, nothing else.  Every pass of the loop turns the log terms of
+    every live row into its score, information, direction and decrement
+    verdict, and probes every live row at its own step in one likelihood
+    pass.  The probe's arrays become the state, and the rows that did not
+    take their probe copy their old point, log-likelihood and log terms
+    back bit for bit, so no point is evaluated twice and the next pass
+    gives such a row the same direction and verdict again.  A row's step
+    is 1 after an accepted probe and halves after a refused one.  A row
     stops after the probe of its decrement-rule pass, after an accepted
     probe that moves no coefficient, when its halvings run out or at
-    ``MAX_ITERATIONS`` iterations: it writes its outcome into the stack
-    and leaves the state, and is not evaluated again.  A row that
-    ``_directions`` fails is recorded in ``errors`` and gets a zero
-    direction, so its probe stalls and it leaves the same way.  Rows
-    never wait for each other, so the stack makes as many likelihood
-    passes as its slowest row would alone.
+    ``MAX_ITERATIONS`` iterations: at the top of the next pass it writes
+    its outcome into the stack and leaves the state, and is not evaluated
+    again.  A row that ``_directions`` fails is recorded in ``errors``
+    and gets a zero direction, so its probe stalls and it leaves the same
+    way.  A row whose linear predictor is not finite, at its start or at
+    a probe (``_likelihood`` gives it a NaN log-likelihood), is recorded
+    with a ``DomainError`` and leaves the same way, before its first pass
+    if its start overflows.  Rows never wait for each other, so the stack
+    makes as many likelihood passes as its slowest row would alone.
     """
-    S, k = Y.shape[0], Xt.shape[-2]
-    errors: list[LinkEquivError | None] = [None] * S
-    single = (Y.all(axis=1) | ~Y.any(axis=1)) & (k > 0)
-    for i in np.flatnonzero(single):
-        errors[i] = SeparationError("response takes a single value; coefficients diverge")
+    refused, live, X, s = stack
+    S, k = refused.size, X.shape[-2]
+    errors: list[LinkEquivError | None] = [
+        SeparationError("response takes a single value; coefficients diverge") if r else None
+        for r in refused]
     coefficients = np.full((S, k), np.nan)
     loglik = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    # the running rows' state: position i holds stack row live[i]
-    live = np.flatnonzero(~single)
-    X = Xt if Xt.ndim == 2 else Xt[live]
-    s = 2.0 * Y[live] - 1.0
-    b = beta[live]
+    b = start[live]
     l, parts = _likelihood(link, X, s, b)
-    step = np.zeros(live.size)
-    direction = np.zeros((live.size, k))
-    verdict = np.zeros(live.size, dtype=bool)
+    step = np.ones(live.size)
     taken = np.zeros(live.size, dtype=int)
-    while live.size:
+    # a row whose start overflows stops before its first pass
+    overflow = stop = np.isnan(l)
+    verdict = np.zeros(live.size, dtype=bool)
+    while True:
+        if stop.any():
+            for i in live[overflow]:
+                errors[i] = DomainError("linear predictor must be finite")
+            rows = live[stop]
+            coefficients[rows], loglik[rows] = b[stop], l[stop]
+            iterations[rows], converged[rows] = taken[stop], verdict[stop]
+            keep = ~stop
+            live, s, b, l, step, taken = (state[keep] for state in (live, s, b, l, step, taken))
+            parts = [part[keep] for part in parts]
+            X = X if X.ndim == 2 else X[keep]
+        if not live.size:
+            break
         g, H = _derivatives(link, X, s, parts)
         newton, failures = _directions(H, g)
         for pos, reason in failures.items():
@@ -386,15 +414,14 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
         # the cauchit information can be indefinite: where the Newton
         # direction does not point uphill, take the gradient instead
         uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
-        turn = np.where(uphill[:, None], newton, g)
-        turn[list(failures)] = 0.0
-        fresh = step == 0.0
-        direction = np.where(fresh[:, None], turn, direction)
+        direction = np.where(uphill[:, None], newton, g)
+        direction[list(failures)] = 0.0
         # the decrement rule: this pass's probe is the row's last
-        verdict = np.where(fresh, (decrement >= 0.0) & (decrement <= SOLVER_TOL), verdict)
-        step[fresh] = 1.0
+        verdict = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
         candidate = b + step[:, None] * direction
         c_l, c_parts = _likelihood(link, X, s, candidate)
+        # a probe whose eta is not finite fails its row
+        overflow = np.isnan(c_l)
         # ties are accepted: near the optimum the true gain rounds below
         # the float resolution of the log-likelihood
         accepted = c_l >= l
@@ -405,20 +432,11 @@ def _newton(link: LinkKind, Xt: np.ndarray, Y: np.ndarray, beta: np.ndarray) -> 
             new[stay] = old[stay]
         b, l, parts = candidate, c_l, c_parts
         taken += ~stay
-        step = np.where(stay, 0.5 * step, 0.0)
-        stop = (verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
+        step = np.where(stay, 0.5 * step, 1.0)
+        stop = (overflow | verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
                 | (taken >= MAX_ITERATIONS))
-        if stop.any():
-            rows = live[stop]
-            coefficients[rows], loglik[rows] = b[stop], l[stop]
-            iterations[rows], converged[rows] = taken[stop], verdict[stop]
-            keep = ~stop
-            live, s, b, l, step, direction, verdict, taken = (
-                state[keep] for state in (live, s, b, l, step, direction, verdict, taken))
-            parts = [part[keep] for part in parts]
-            X = X if X.ndim == 2 else X[keep]
     failed = np.array([e is not None for e in errors])
-    coefficients[failed], loglik[failed] = np.nan, np.nan
+    coefficients[failed], loglik[failed], converged[failed] = np.nan, np.nan, False
     return StackFit(
         coefficients=coefficients,
         loglik=loglik,
@@ -442,22 +460,26 @@ def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
     Each row line-searches at its own step, so the stack makes as many
     likelihood passes as its slowest row would alone.  A row whose fit
     fails (single-valued response in a model with any coefficient,
-    information not finite or exactly singular) gets NaN fields and its
+    information not finite or exactly singular, a linear predictor that
+    is not finite at its start or at a probe) gets NaN fields and its
     exception in ``StackFit.errors``; the other rows are unaffected.
     """
-    Xt, Y = _stack_input(spec.intercept, predictors, responses)
-    S, k = Y.shape[0], Xt.shape[-2]
+    stack = _stack_input(spec.intercept, predictors, responses)
+    S, k = stack[0].size, stack[2].shape[-2]
     beta = np.zeros(k) if start is None else np.asarray(start, dtype=float)
     if beta.shape not in ((k,), (S, k)):
         raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
     if not np.isfinite(beta).all():
         raise ArgumentError("start entries must be finite")
-    return _newton(spec.link, Xt, Y, np.broadcast_to(beta, (S, k)))
+    return _newton(spec.link, stack, np.broadcast_to(beta, (S, k)))
 
 
-def _stack_input(intercept: bool, predictors, responses) -> tuple[np.ndarray, np.ndarray]:
-    """The transposed model matrix and the (S, n) responses of a stack,
-    once ``fit_stack``'s checks pass."""
+def _stack_input(intercept: bool, predictors, responses) -> tuple:
+    """A stack as ``_newton`` takes it, once ``fit_stack``'s checks pass:
+    the mask of the S rows it refuses, those whose response takes a single
+    value in a model with any coefficient, the indices ``live`` of the
+    others, and their transposed model matrix, shared (k, n) or one
+    (k, n) per live row, and (live, n) response signs 2y - 1."""
     Y = np.asarray(responses, dtype=float)
     P = np.asarray(predictors, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
@@ -467,7 +489,10 @@ def _stack_input(intercept: bool, predictors, responses) -> tuple[np.ndarray, np
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    return _transposed(_model_matrix(P, intercept)), Y
+    Xt = _transposed(_model_matrix(P, intercept))
+    refused = (Y.all(axis=1) | ~Y.any(axis=1)) & (Xt.shape[-2] > 0)
+    live = np.flatnonzero(~refused)
+    return refused, live, Xt if Xt.ndim == 2 else Xt[live], 2.0 * Y[live] - 1.0
 
 
 def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, StackFit]:
@@ -477,17 +502,18 @@ def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, 
     fit converged, and at zero where it did not or logit is not among
     ``links``; every other row starts at zero.  A start depends only on
     its own row, so blocking does not change any fit."""
-    Xt, Y = _stack_input(intercept, predictors, responses)
+    stack = _stack_input(intercept, predictors, responses)
+    S, k = stack[0].size, stack[2].shape[-2]
     fits: dict[LinkKind, StackFit] = {}
     for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
-        start = np.zeros((Y.shape[0], Xt.shape[-2]))
+        start = np.zeros((S, k))
         logit = fits.get(LinkKind.LOGIT)
         if logit is not None and link in _LOGIT_FACTOR:
             # a converged row's coefficients are finite; a failed row's are
             # NaN, and it is not converged
             start = np.where(logit.converged[:, None],
                              _LOGIT_FACTOR[link] * logit.coefficients, 0.0)
-        fits[link] = _newton(link, Xt, Y, start)
+        fits[link] = _newton(link, stack, start)
     return fits
 
 
@@ -511,8 +537,9 @@ def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
     harnesses survive pathological resamples.
 
     Raises ``SeparationError`` when a model with any coefficient sees a
-    single-valued response, and ``NumericalError`` when the damped
-    information matrix is not finite or is exactly singular.
+    single-valued response, ``NumericalError`` when the damped
+    information matrix is not finite or is exactly singular, and
+    ``DomainError`` when a probe's linear predictor is not finite.
     """
     stack = fit_stack(spec, data.predictors, data.response[None])
     if stack.errors[0] is not None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import _check_count
+
 
 def replicate_map(fn, args_list, jobs: int = 1) -> list:
     """Apply ``fn`` to each element of ``args_list``, in index order.
@@ -19,8 +21,10 @@ def replicate_map(fn, args_list, jobs: int = 1) -> list:
     out one element at a time: each is a whole replicate or a
     memory-budget block.  Otherwise everything runs in the calling
     process and no pool starts.  ``fn`` must be a module-level function
-    when a pool runs, so it can be pickled.
+    when a pool runs, so it can be pickled.  ``jobs`` must be an integer
+    of at least 1.
     """
+    _check_count(jobs, "jobs", 1)
     items = list(args_list)
     workers = min(jobs, len(items))
     if workers <= 1:

@@ -114,16 +114,26 @@ def test_structural_bytes_pinned(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def readme_block(section, language):
+    """The first ``language`` code block under the README's ``section``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {section}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_examples():
     """The ``linkequiv ...`` lines of the README's ``## CLI`` code block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI", "sh")
     return [line for line in block.splitlines() if line.startswith("linkequiv ")]
 
 
 @pytest.mark.parametrize("line", readme_cli_examples())
 def test_readme_cli_example_parses(line):
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_api_sketch_runs(capsys):
+    exec(compile(readme_block("API sketch", "python"), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_console_script_target_resolves():

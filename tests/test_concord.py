@@ -295,6 +295,8 @@ class TestSignDisagreementGrid:
             sign_disagreement_grid(list(LinkKind), 2.0, -2.0, 100)
         with pytest.raises(ArgumentError):
             sign_disagreement_grid(list(LinkKind), -2.0, 2.0, 1)
+        with pytest.raises(ArgumentError, match="s must be an integer"):
+            sign_disagreement_grid(list(LinkKind), 0.0, 1.0, 2.5)
         with pytest.raises(ArgumentError):
             sign_disagreement_grid(list(LinkKind), -2.0, 2.0, 100, mode="bogus")
         # a < b, but b - a overflows

@@ -118,10 +118,23 @@ class TestGenerateDataset:
     lambda: structural_sim(EXAMPLE_ONE, R=1, S=10.5, seed=0),
     lambda: GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.LOGIT,
                       beta0=0.0, beta1=1.0, n=50.5),
-], ids=["replications", "R", "S", "n"])
+    lambda: structural_sim(EXAMPLE_ONE, R=3, S=5, seed=0, jobs=2.5),
+], ids=["replications", "R", "S", "n", "jobs"])
 def test_non_integral_counts_rejected(make):
     with pytest.raises(ArgumentError, match="must be an integer"):
         make()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    """Every harness checks ``jobs`` where it maps its replicates, before
+    any runs."""
+    plan = SplitPlan(replications=4, seed=0)
+    for run in (lambda: structural_sim(EXAMPLE_ONE, R=3, S=5, seed=0, jobs=jobs),
+                lambda: predictive_sim(_real_data(), [LinkKind.LOGIT], plan, jobs=jobs),
+                lambda: ic_compare(_real_data(), [LinkKind.LOGIT], plan, jobs=jobs)):
+        with pytest.raises(ArgumentError, match="jobs must be at least 1"):
+            run()
 
 
 class TestOlsSimple:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 from linkequiv import (
     ArgumentError,
     Dataset,
+    DomainError,
     Equispaced,
     FitResult,
     Gaussian,
@@ -145,6 +147,14 @@ class TestLogLikelihood:
         )
         assert log_likelihood(spec, [1.0], data) == pytest.approx(-0.1727538, abs=1e-6)
 
+    @pytest.mark.parametrize("function", [log_likelihood, score, observed_information])
+    def test_overflowing_eta_raises(self, function):
+        data = Dataset.univariate([1.0, 2.0, -1.0], [1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                function(ModelSpec(LinkKind.LOGIT, intercept=False), [1e308], data)
+
     def test_rejects_wrong_length(self):
         data = Dataset.univariate([1.0, 2.0], [1, 0])
         with pytest.raises(ArgumentError):
@@ -229,17 +239,23 @@ class TestFitMle:
             assert np.all(np.diff(trace) >= 0.0)
 
     def test_scale_equivariance(self):
+        """Scaling the first predictor by c keeps the convergence verdict
+        and divides that predictor's coefficient by c, to 1e-7 relative
+        (at most 3.0e-8 over these 108 cases).  Iteration counts are not
+        compared: borderline accept and stop decisions flip at rounding
+        level, and 22 of the 108 counts differ."""
         for i, link in enumerate(ALL_LINKS):
-            stream = substream(123, i)
-            spec, _, data = random_problem(stream, link, n=150)
-            c = 3.7
-            scaled = Dataset(
-                data.predictors * np.array([c, 1.0]), data.response, data.names
-            )
-            base = fit_mle(spec, data).coefficients
-            other = fit_mle(spec, scaled).coefficients
-            assert other[1] == pytest.approx(base[1] / c, rel=1e-6)
-            assert other[2] == pytest.approx(base[2], rel=1e-6)
+            for draw in range(3):
+                spec, _, data = random_problem(substream(123, i, draw), link, n=150)
+                base = fit_mle(spec, data)
+                for c in (1e-4, 1e-3, 1e-2, 0.1, 3.7, 10.0, 1e2, 1e3, 1e4):
+                    scaled = Dataset(
+                        data.predictors * np.array([c, 1.0]), data.response, data.names
+                    )
+                    other = fit_mle(spec, scaled)
+                    assert other.converged == base.converged
+                    np.testing.assert_allclose(other.coefficients * np.array([1.0, c, 1.0]),
+                                               base.coefficients, rtol=1e-7, atol=0.0)
 
     def test_single_class_response_raises(self):
         data = Dataset.univariate([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
@@ -444,6 +460,46 @@ class TestFitStack:
         assert isinstance(stack.errors[0], NumericalError)
         rest = fit_stack(spec, P[1:], Y[1:])
         np.testing.assert_array_equal(stack.coefficients[1:], rest.coefficients)
+
+    @pytest.mark.parametrize("where", ["start", "probe"])
+    def test_overflowing_row_fails_alone(self, where):
+        """Row 1's linear predictor overflows at its start (a shared x from
+        1e308) or at its first probe (x of 1e150 from -8e-148): it fails
+        with a ``DomainError`` and NaN fields, no overflow warning escapes,
+        and row 0 ends bit for bit where it ends alone."""
+        spec = ModelSpec(LinkKind.LOGIT, intercept=False)
+        x = np.array([1.0, 2.0, -1.0, -2.0, 0.5])
+        y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        if where == "start":
+            P, Y, start = x[:, None], np.stack([y, y]), [[0.0], [1e308]]
+        else:
+            huge = 1e150 * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+            P = np.stack([x, huge])[..., None]
+            Y = np.stack([y, [1.0, 0.0, 1.0, 0.0, 1.0]])
+            start = [[0.0], [-8e-148]]
+        alone = fit_stack(spec, x[:, None], y[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = fit_stack(spec, P, Y, start=start)
+        assert isinstance(stack.errors[1], DomainError)
+        assert np.isnan(stack.coefficients[1]).all() and np.isnan(stack.loglik[1])
+        assert not stack.converged[1]
+        assert stack.errors[0] is None
+        for field in ("coefficients", "loglik", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(stack, field)[0], getattr(alone, field)[0])
+
+    def test_fit_mle_raises_when_a_probe_overflows(self, monkeypatch):
+        """A direction of 1e308 makes the first probe's eta overflow: the
+        row fails, and ``fit_mle`` raises its ``DomainError`` without a
+        warning."""
+        inner = fit_module._directions
+        monkeypatch.setattr(fit_module, "_directions",
+                            lambda H, g: (np.full_like(g, 1e308), inner(H, g)[1]))
+        data = Dataset.univariate([1.0, 2.0, -1.0, -2.0, 0.5], [1, 1, 0, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                fit_mle(ModelSpec(LinkKind.LOGIT, intercept=False), data)
 
     def test_one_solve_and_diagnosis_give_the_same_directions(self):
         """A stack with an exactly singular row and a non-finite row goes
