@@ -10,14 +10,18 @@ why positively proportional probit and logit classifiers never disagree.
 
 Every train/test split of n rows trains on ceil(2n/3) of them, drawn
 at random from the ``(seed, r, "split")`` stream, and tests on the rest;
-n must be at least 3, so that both parts are non-empty.
+n must be at least 3, so that both parts are non-empty.  Each part lists
+its rows ordered by response, then by each predictor column in turn.
 
 ``_paired_pass`` is the paired-split study behind ``average_test_error``
 and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
 are cut into as few contiguous blocks as bound a block's memory, however
 many workers there are; a block draws each of its splits once, fits
 each link to all of its equal-size training sets in one stacked solve
-and scores all of its test sets with one ``cdf`` call per link.
+and scores all of its test sets with one ``cdf`` call per link.  The
+pass orders the rows once, so every row of a stack holds its y = 0 rows
+and then its y = 1 rows, each sorted by x: the link kernels' selects and
+branches then run in long runs instead of at random.
 """
 
 from __future__ import annotations
@@ -143,11 +147,26 @@ def _n_train(n: int) -> int:
     return (2 * n + 2) // 3
 
 
-def _split_indices(n: int, plan: SplitPlan, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted training and test row indices of replicate ``r`` of n rows."""
+def _row_order(data: Dataset) -> np.ndarray:
+    """The dataset's row indices ordered by response, then by each
+    predictor column in turn; ties keep their row order."""
+    return np.lexsort(np.vstack([data.predictors.T[::-1], data.response]))
+
+
+def _split_indices(order: np.ndarray, plan: SplitPlan,
+                   replicates) -> tuple[np.ndarray, np.ndarray]:
+    """Training and test row indices, (B, ceil(2n/3)) and (B, n - ceil(2n/3)),
+    of the B ``replicates`` of the n rows that ``order`` lists, each row in
+    that order.  A replicate's training rows are the first ceil(2n/3) of
+    its stream's permutation, drawn once as a mask."""
+    n = order.size
     n_train = _n_train(n)
-    perm = substream(plan.seed, r, "split").permutation(n)
-    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    train = np.zeros((len(replicates), n), dtype=bool)
+    for b, r in enumerate(replicates):
+        train[b, substream(plan.seed, r, "split").permutation(n)[:n_train]] = True
+    in_order = train[:, order]
+    ordered = np.broadcast_to(order, in_order.shape)
+    return ordered[in_order].reshape(-1, n_train), ordered[~in_order].reshape(-1, n - n_train)
 
 
 def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
@@ -155,10 +174,11 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
 
     ceil(2n/3) of the n rows train and the rest, at least one, test;
     the partition is a pure function of (plan.seed, r) and identical for
-    every caller.
+    every caller.  Each part lists its rows ordered by response, then by
+    each predictor column in turn, as the paired-split pass fits them.
     """
-    train_idx, test_idx = _split_indices(data.n, plan, r)
-    return data.subset(train_idx), data.subset(test_idx)
+    train_idx, test_idx = _split_indices(_row_order(data), plan, (r,))
+    return data.subset(train_idx[0]), data.subset(test_idx[0])
 
 
 # Most elements of a block's stacked training model matrix (replicates x
@@ -190,13 +210,14 @@ def _ic_replicate(fit: StackFit, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _paired_block(args) -> np.ndarray:
     """Test error, AIC and BIC, shape (3, B, L), of B consecutive replicates
     under L links.  Each split is drawn once, and one fancy index each
-    gathers all B training sets and all B test sets; every training set
-    has the same number of rows, so each link is fitted to all B of them
-    in one stacked solve (``fit._fit_links``: logit first, then probit
-    and cauchit from its fit) and scores all B test sets at once."""
-    data, links, plan, intercept, replicates = args
-    train, test = (np.stack(idx) for idx in zip(
-        *(_split_indices(data.n, plan, r) for r in replicates)))
+    gathers all B training sets and all B test sets, their rows in the
+    pass's ``order``; every training set has the same number of rows, so
+    each link is fitted to all B of them in one stacked solve
+    (``fit._fit_links``: logit first, from its linear-discriminant start,
+    then probit and cauchit from its fit) and scores all B test sets at
+    once."""
+    data, order, links, plan, intercept, replicates = args
+    train, test = _split_indices(order, plan, replicates)
     predictors, responses = data.predictors[train], data.response[train]
     points, labels = _model_matrix(data.predictors[test], intercept), data.response[test]
     out = np.empty((3, len(replicates), len(links)))
@@ -227,7 +248,8 @@ def _paired_pass(
     be faster (README, ``--jobs``).  Every block is shipped the data
     once, and a command starts at most one process pool.
     Stacked rows never interact, so the result does not depend on the
-    blocking.
+    blocking.  The rows are ordered once, by ``_row_order``, for every
+    block.
     """
     n_train = _n_train(data.n)
     if data.response.min() == data.response.max():
@@ -235,8 +257,10 @@ def _paired_pass(
     R = plan.replications
     elements = R * n_train * (data.p + int(intercept))
     blocks = min(R, max(1, math.ceil(elements / _BLOCK_ELEMENTS)))
+    order = _row_order(data)
     tasks = [
-        (data, tuple(links), plan, intercept, range(R * b // blocks, R * (b + 1) // blocks))
+        (data, order, tuple(links), plan, intercept,
+         range(R * b // blocks, R * (b + 1) // blocks))
         for b in range(blocks)
     ]
     te, aic, bic = np.concatenate(replicate_map(_paired_block, tasks, jobs=jobs), axis=1)

@@ -293,6 +293,9 @@ def log_likelihood(spec: ModelSpec, beta, data: Dataset) -> float:
     return float(_one_row(spec, beta, data)[2][0])
 
 
+# far-tail weights are formed from intermediates that overflow and are
+# then replaced, so the warnings would be about values that are not used
+@np.errstate(over="ignore", invalid="ignore")
 def _score_and_information(spec: ModelSpec, beta, data: Dataset):
     Xt, sign, _, parts = _one_row(spec, beta, data)
     g, H = _derivatives(spec.link, Xt, sign, parts)
@@ -495,20 +498,60 @@ def _stack_input(intercept: bool, predictors, responses) -> tuple:
     return refused, live, Xt if Xt.ndim == 2 else Xt[live], 2.0 * Y[live] - 1.0
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _discriminant_start(Xt: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The linear-discriminant estimate of the logit coefficients, (S, k),
+    of each row of a stack whose transposed model matrix ``Xt`` has the
+    intercept row first and whose (S, n) response signs 2y - 1 hold both
+    classes.  With class means mu0 and mu1 of the predictors and their
+    within-class covariance Sw, pooled over n - 2, the slope is
+    Sw^-1 (mu1 - mu0) and the intercept log(n1/n0) - (mu1 + mu0)'slope/2.
+    That is the logistic MLE when each class is normal with a shared
+    covariance (Efron 1975, JASA 70), and with no predictors it is the
+    MLE log(n1/n0) exactly.  A row whose Sw is singular, or whose
+    estimate is not finite, gets zero.  Each row is summed along its own
+    elements and solved alone, so its start is the same bits whether it
+    is computed alone or in a stack."""
+    one = (sign > 0.0)[:, None, :]
+    X = Xt[..., 1:, :]
+    n, p = sign.shape[1], X.shape[-2]
+    n1 = one.sum(axis=-1)
+    n0 = n - n1
+    mu1 = np.where(one, X, 0.0).sum(axis=-1) / n1
+    mu0 = np.where(one, 0.0, X).sum(axis=-1) / n0
+    centred = X - np.where(one, mu1[..., None], mu0[..., None])
+    within = centred @ np.swapaxes(centred, -1, -2) / (n - 2)
+    # rejected rows are solved as identity systems, as in _directions
+    bad = ~np.isfinite(within).all(axis=(1, 2))
+    within[bad] = np.eye(p)
+    bad |= np.linalg.slogdet(within)[0] == 0.0
+    within[bad] = np.eye(p)
+    slope = np.linalg.solve(within, (mu1 - mu0)[..., None])[..., 0]
+    intercept = np.log(n1 / n0) - 0.5 * ((mu1 + mu0) * slope).sum(axis=-1, keepdims=True)
+    start = np.concatenate([intercept, slope], axis=1)
+    start[bad | ~np.isfinite(start).all(axis=1)] = 0.0
+    return start
+
+
 def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, StackFit]:
     """``fit_stack`` of the same stack under each link, logit first, with
-    the stack checked and laid out once.  A probit or cauchit row starts at
-    its link's factor times that row's logit coefficients where the logit
-    fit converged, and at zero where it did not or logit is not among
-    ``links``; every other row starts at zero.  A start depends only on
-    its own row, so blocking does not change any fit."""
+    the stack checked and laid out once.  In a model with an intercept, a
+    logit row starts at its linear-discriminant estimate
+    (``_discriminant_start``); without one, at zero.  A probit or cauchit
+    row starts at its link's factor times that row's logit coefficients
+    where the logit fit converged, and at zero where it did not or logit
+    is not among ``links``; every other row starts at zero.  A start
+    depends only on its own row, so blocking does not change any fit."""
     stack = _stack_input(intercept, predictors, responses)
-    S, k = stack[0].size, stack[2].shape[-2]
+    refused, live, Xt, sign = stack
+    S, k = refused.size, Xt.shape[-2]
     fits: dict[LinkKind, StackFit] = {}
     for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
         start = np.zeros((S, k))
         logit = fits.get(LinkKind.LOGIT)
-        if logit is not None and link in _LOGIT_FACTOR:
+        if link is LinkKind.LOGIT and intercept:
+            start[live] = _discriminant_start(Xt, sign)
+        elif logit is not None and link in _LOGIT_FACTOR:
             # a converged row's coefficients are finite; a failed row's are
             # NaN, and it is not converged
             start = np.where(logit.converged[:, None],

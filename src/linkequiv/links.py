@@ -185,6 +185,9 @@ _PROBIT_DEEP = -37.0
 
 def _probit_log_terms(eta, s):
     t = s * eta
+    # scipy.special ufuncs are called on whole arrays, never with where=:
+    # erfc(a, out=o, where=m) aborted the process with "double free or
+    # corruption" (scipy 1.17.1, numpy 2.4.6)
     e = 0.5 * erfc(np.abs(t) / _SQRT2)
     # e is 0 far out in the lower tail, where log_ndtr replaces log(e)
     with np.errstate(divide="ignore"):

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import importlib
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,10 @@ def dataset_csv(tmp_path):
     path = tmp_path / "d.csv"
     assert run("gen", "--n", 80, "--seed", 3, "--out", path) == EXIT_OK
     return path
+
+
+# sha256 of ``gen``'s default CSV
+GEN_DEFAULT_SHA256 = "5e2c4f003fb40e399099b5392c88561a738089c5e2ff35743bce8d27fb8c1dcb"
 
 
 class TestGen:
@@ -56,7 +63,7 @@ class TestGen:
     # sha256 of the CSVs as written before structural replicates were drawn
     # as one stacked stream: gen output must not change with that scheme
     @pytest.mark.parametrize("args, digest", [
-        ((), "5e2c4f003fb40e399099b5392c88561a738089c5e2ff35743bce8d27fb8c1dcb"),
+        ((), GEN_DEFAULT_SHA256),
         (("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
           "--beta1", 2, "--seed", 3, "--n", 500),
          "d2416e09f42275d1b57103cfe9b39a7ddc17a4e8e82b010d37068c3e425d7176"),
@@ -66,14 +73,24 @@ class TestGen:
         assert run("gen", *args, "--out", out) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_runs_as_python_dash_m(self, tmp_path):
+        out = tmp_path / "g.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "linkequiv", "gen", "--out", str(out)],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DEFAULT_SHA256
+
 
 # sha256 of the predictive and ic CSVs.  The gauss predictive pin dates
 # from when every replicate and every link was fitted by its own fit_mle
 # call, and the thin one from when fits began to stop on the Newton
-# decrement; the thin ic pin was re-derived when probit and cauchit fits
-# began to start from the same row's logit fit, and the gauss ic pin when
-# the probit log term began to come from one erfc.  Each agrees with the
-# same run at every --jobs value.  "thin" has training splits without a
+# decrement; both ic pins were re-derived when the paired pass began to
+# order each split's rows by response and then x, and logit fits began to
+# start from the linear discriminant.  Each agrees with the same run at
+# every --jobs value.  "thin" has training splits without a
 # positive label, so its CSVs hold failed (empty) cells.
 PAIRED_GEN = {
     "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
@@ -85,9 +102,9 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "20ccd4bc26537b1831d87d93ef6b53007ed02f66c26d13b40bdc21ce7373ae30"),
+    ("gauss", "ic", "1a8472169f18a41f57cbc7736fc5dea42740e9c45232f05936ba3ac4c5f31285"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
-    ("thin", "ic", "fe774757190bbe5025dde69c9793935d41caf74a16a8dd0e80445cf5921ef9e7"),
+    ("thin", "ic", "07be397a44ea0de4fd056cd2433ce8b4a72302c8e2518a595b5d02800d342bee"),
 ], ids=["gauss-predictive", "gauss-ic", "thin-predictive", "thin-ic"])
 def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     path = tmp_path / "d.csv"
@@ -100,13 +117,14 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of structural CSVs as written when the probit log term began to
-# come from one erfc: the equispaced design (one shared x, no intercept)
-# and the gaussian design (per-row x, with an intercept)
+# sha256 of structural CSVs: the equispaced design (one shared x, no
+# intercept) as written when the probit log term began to come from one
+# erfc, and the gaussian design (per-row x, with an intercept) as written
+# when its logit fits began to start from the linear discriminant
 @pytest.mark.parametrize("args, digest", [
     ((), "aea9e7d3ddfe00a13f1bf1aabd426e3b17a774ea4f425100900888f9b24a6098"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "920f684a8edd9a7cc8bc3173b427e4ddc12e09caf6cde1f108a7b53672f69b61"),
+     "42ff45e0edb9ae153fc81bc7ca0c516d55bb3947a566adace0ec5cd21c37f7f7"),
 ], ids=["equispaced", "gaussian"])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"

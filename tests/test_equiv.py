@@ -33,6 +33,7 @@ from linkequiv import (
 )
 from linkequiv import test_error as zero_one_error
 from linkequiv import concord, parallel
+from linkequiv import fit as fit_module
 from linkequiv.concord import _paired_pass
 from linkequiv.equiv import _draw, _slope_line
 from linkequiv.parallel import replicate_map
@@ -423,19 +424,24 @@ LOGIT_FACTORS = {LinkKind.PROBIT: math.sqrt(math.pi / 8.0), LinkKind.CAUCHIT: ma
 def loop_reference(data, links, plan, intercept):
     """The paired study one replicate and one link at a time: split, then
     a one-row ``fit_stack``, then the test error, AIC and BIC of that fit.
-    Logit is fitted first; probit and cauchit start at their factor times
-    the logit coefficients where the logit fit converged, and at zero
-    otherwise."""
+    Logit is fitted first, from the linear-discriminant estimate of a
+    one-row stack in a model with an intercept and from zero otherwise;
+    probit and cauchit start at their factor times the logit coefficients
+    where the logit fit converged, and at zero otherwise."""
     shape = (plan.replications, len(links))
     te, aic, bic = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     for r in range(plan.replications):
         train, test = split(data, plan, r)
+        _, live, Xt, sign = fit_module._stack_input(intercept, train.predictors,
+                                                    train.response[None])
         logit = None
         for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
             j = links.index(link)
             spec = ModelSpec(link, intercept=intercept)
             k = spec.coefficient_count(train.p)
             start = np.zeros(k)
+            if link is LinkKind.LOGIT and intercept and live.size:
+                start = fit_module._discriminant_start(Xt, sign)[0]
             if link in LOGIT_FACTORS and logit is not None and logit.converged[0]:
                 start = LOGIT_FACTORS[link] * logit.coefficients[0]
             fitted = fit_stack(spec, train.predictors, train.response[None], start=start)
@@ -462,6 +468,31 @@ class TestPairedPass:
         got = _paired_pass(data, links, plan, intercept, jobs=1)
         for field, want in zip(got, loop_reference(data, links, plan, intercept)):
             np.testing.assert_array_equal(field, want)
+
+    @pytest.mark.parametrize("data", [_real_data(), _thin_data()])
+    def test_stacks_hold_each_split_in_response_then_x_order(self, monkeypatch, data):
+        """Every stack the paired block fits lists each split's training
+        rows, exactly the first ceil(2n/3) of its stream's permutation,
+        ordered by response and then by each predictor column."""
+        plan = SplitPlan(replications=9, seed=40)
+        stacks = []
+
+        def recording_fit(links, intercept, predictors, responses):
+            stacks.append((predictors, responses))
+            return fit_module._fit_links(links, intercept, predictors, responses)
+
+        monkeypatch.setattr(concord, "_fit_links", recording_fit)
+        _paired_pass(data, list(LinkKind), plan, True, jobs=1)
+        (P, Y), = stacks
+        n_train = (2 * data.n + 2) // 3
+        assert P.shape == (9, n_train, data.p) and Y.shape == (9, n_train)
+        for r in range(9):
+            rows = [(y, *x) for y, x in zip(Y[r].tolist(), P[r].tolist())]
+            assert rows == sorted(rows)
+            members = substream(plan.seed, r, "split").permutation(data.n)[:n_train]
+            want = [(y, *x) for y, x in zip(data.response[members].tolist(),
+                                           data.predictors[members].tolist())]
+            assert rows == sorted(want)
 
     def test_failed_training_fit_is_nan_in_every_field(self):
         plan = SplitPlan(replications=9, seed=40)

@@ -198,6 +198,25 @@ class TestScore:
             result = fit_mle(spec, data)
             assert np.max(np.abs(score(spec, result.coefficients, data))) <= 1e-6
 
+    @pytest.mark.parametrize("beta", [1e10, -1e10, 1e155, -1e155, 1e300, -1e300])
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_extreme_coefficients_do_not_warn(self, link, beta):
+        """Far in the tails the weights are formed from intermediates that
+        overflow and are then replaced; the finite score and information
+        come out with no warning and with the same bits as when warnings
+        are ignored."""
+        spec = ModelSpec(link, intercept=False)
+        data = Dataset.univariate([1.0, -1.0, 1.0], [1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = score(spec, [beta], data), observed_information(spec, [beta], data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score(spec, [beta], data), observed_information(spec, [beta], data)
+        for value, expected in zip(got, want):
+            assert np.isfinite(value).all()
+            np.testing.assert_array_equal(value, expected)
+
 
 class TestFitMle:
     def test_intercept_only_matches_link_quantile(self):
@@ -810,13 +829,15 @@ def paired_training_stack(replicates):
 
 
 class TestWarmStart:
-    """Probit and cauchit fits started from the same row's logit fit
-    (``fit._fit_links``) against fits started from zero."""
+    """Logit fits started from the linear-discriminant estimate, and probit
+    and cauchit fits started from the same row's logit fit
+    (``fit._fit_links``), against fits started from zero."""
 
     def test_warm_rows_reach_the_cold_fit(self):
-        """Every warm-started row reaches the cold-started verdict, and its
-        coefficients move by at most the permutation test's tolerance:
-        1e-6 of the largest coefficient or standard error."""
+        """Every warm-started row, logit's too, reaches the cold-started
+        verdict, and its coefficients move by at most the permutation
+        test's tolerance: 1e-6 of the largest coefficient or standard
+        error."""
         P, Y = paired_training_stack(200)
         warm = fit_module._fit_links(ALL_LINKS, True, P, Y)
         for link in ALL_LINKS:
@@ -833,8 +854,8 @@ class TestWarmStart:
                 assert np.max(np.abs(warm[link].coefficients[i] - beta)) <= 1e-6 * scale
 
     def test_warm_start_evaluates_fewer_elements(self, monkeypatch):
-        """On one 50-replicate P500 block, probit and cauchit evaluate
-        fewer likelihood elements warm than cold; logit and compit start
+        """On one 50-replicate P500 block, logit, probit and cauchit
+        evaluate fewer likelihood elements warm than cold; compit starts
         at zero either way.  The counts are deterministic."""
         elements = {}
         inner = fit_module._likelihood
@@ -850,10 +871,64 @@ class TestWarmStart:
         cold = dict(elements)
         elements.clear()
         fit_module._fit_links(ALL_LINKS, True, P, Y)
-        for link in (LinkKind.PROBIT, LinkKind.CAUCHIT):
+        for link in (LinkKind.LOGIT, LinkKind.PROBIT, LinkKind.CAUCHIT):
             assert elements[link] < cold[link]
-        for link in (LinkKind.LOGIT, LinkKind.COMPIT):
-            assert elements[link] == cold[link]
+        assert elements[LinkKind.COMPIT] == cold[LinkKind.COMPIT]
+
+
+class TestDiscriminantStart:
+    """``fit._discriminant_start``, the logit start of a model with an
+    intercept."""
+
+    @staticmethod
+    def pooled_formula(P, y):
+        """Slope and intercept from each class's ``np.cov``, pooled over
+        n - 2."""
+        one, zero = P[y == 1.0], P[y == 0.0]
+        n1, n0 = len(one), len(zero)
+        within = ((n1 - 1) * np.atleast_2d(np.cov(one.T))
+                  + (n0 - 1) * np.atleast_2d(np.cov(zero.T))) / (n1 + n0 - 2)
+        mu1, mu0 = one.mean(axis=0), zero.mean(axis=0)
+        slope = np.linalg.solve(within, mu1 - mu0)
+        return np.concatenate([[math.log(n1 / n0) - 0.5 * (mu1 + mu0) @ slope], slope])
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_the_pooled_covariance_formula(self, shared, p):
+        spec, P, Y = random_stack(substream(330, p, int(shared)), LinkKind.LOGIT,
+                                  p=p, shared=shared)
+        _, live, Xt, sign = fit_module._stack_input(True, P, Y)
+        start = fit_module._discriminant_start(Xt, sign)
+        assert start.shape == (Y.shape[0], p + 1)
+        for i in range(Y.shape[0]):
+            want = self.pooled_formula(P if shared else P[i], Y[i])
+            np.testing.assert_allclose(start[i], want, rtol=1e-12, atol=1e-14)
+
+    def test_rows_start_alike_alone_and_in_a_stack(self):
+        """A row's start has the same bits in a stack as alone; a row whose
+        pooled covariance is singular (its two columns equal) starts at
+        zero."""
+        spec, P, Y = random_stack(substream(331), LinkKind.LOGIT, shared=False)
+        P[2, :, 1] = P[2, :, 0]
+        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[2:])
+        np.testing.assert_array_equal(start[2], 0.0)
+        assert np.all(np.delete(start, 2, axis=0) != 0.0)
+        for i in range(Y.shape[0]):
+            alone = fit_module._stack_input(True, P[i], Y[i:i + 1])[2:]
+            np.testing.assert_array_equal(fit_module._discriminant_start(*alone)[0], start[i])
+
+    def test_intercept_only_start_is_the_exact_mle(self):
+        """With no predictors the start is log(n1/n0), the MLE, so the fit
+        stops on the first pass's decrement."""
+        Y = np.zeros((3, 12))
+        for i, ones in enumerate((1, 5, 9)):
+            Y[i, :ones] = 1.0
+        _, live, Xt, sign = fit_module._stack_input(True, np.empty((12, 0)), Y)
+        start = fit_module._discriminant_start(Xt, sign)
+        np.testing.assert_array_equal(start[:, 0], [math.log(1 / 11), math.log(5 / 7),
+                                                    math.log(9 / 3)])
+        fit = fit_module._fit_links([LinkKind.LOGIT], True, np.empty((12, 0)), Y)[LinkKind.LOGIT]
+        assert fit.converged.all() and (fit.iterations <= 1).all()
 
 
 class TestExactLikelihood:
