@@ -40,9 +40,11 @@ singular, or whose linear predictor is not finite, fails alone.  A row
 whose response takes a single value has no maximum and is refused before
 the loop.  Iterates start from zero or from the caller's ``start``, so a
 run is reproducible bit for bit.  ``_stack_input`` lays a stack out once
-for all of its links; ``_fit_links`` fits logit first and starts each
-probit or cauchit row from its factor (``links._LOGIT_FACTOR``) times
-that row's logit fit, where that fit converged.
+for all of its links; ``_fit_links`` fits logit first, each row of a
+model with an intercept from its linear-discriminant estimate
+(``_discriminant_start``), and starts each probit or cauchit row from
+its factor (``links._LOGIT_FACTOR``) times that row's logit fit, where
+that fit converged.
 """
 
 from __future__ import annotations

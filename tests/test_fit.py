@@ -895,10 +895,9 @@ class TestDiscriminantStart:
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("shared", [True, False])
     def test_matches_the_pooled_covariance_formula(self, shared, p):
-        spec, P, Y = random_stack(substream(330, p, int(shared)), LinkKind.LOGIT,
-                                  p=p, shared=shared)
-        _, live, Xt, sign = fit_module._stack_input(True, P, Y)
-        start = fit_module._discriminant_start(Xt, sign)
+        _, P, Y = random_stack(substream(330, p, int(shared)), LinkKind.LOGIT,
+                               p=p, shared=shared)
+        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[2:])
         assert start.shape == (Y.shape[0], p + 1)
         for i in range(Y.shape[0]):
             want = self.pooled_formula(P if shared else P[i], Y[i])
@@ -908,7 +907,7 @@ class TestDiscriminantStart:
         """A row's start has the same bits in a stack as alone; a row whose
         pooled covariance is singular (its two columns equal) starts at
         zero."""
-        spec, P, Y = random_stack(substream(331), LinkKind.LOGIT, shared=False)
+        _, P, Y = random_stack(substream(331), LinkKind.LOGIT, shared=False)
         P[2, :, 1] = P[2, :, 0]
         start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[2:])
         np.testing.assert_array_equal(start[2], 0.0)
@@ -923,8 +922,8 @@ class TestDiscriminantStart:
         Y = np.zeros((3, 12))
         for i, ones in enumerate((1, 5, 9)):
             Y[i, :ones] = 1.0
-        _, live, Xt, sign = fit_module._stack_input(True, np.empty((12, 0)), Y)
-        start = fit_module._discriminant_start(Xt, sign)
+        start = fit_module._discriminant_start(
+            *fit_module._stack_input(True, np.empty((12, 0)), Y)[2:])
         np.testing.assert_array_equal(start[:, 0], [math.log(1 / 11), math.log(5 / 7),
                                                     math.log(9 / 3)])
         fit = fit_module._fit_links([LinkKind.LOGIT], True, np.empty((12, 0)), Y)[LinkKind.LOGIT]
