@@ -1,8 +1,8 @@
 """Maximum-likelihood estimation of binary regression coefficients.
 
 One solver fits a stack of S datasets at once: S response rows over a
-shared (n, k) model matrix or over one matrix per row.  ``fit_stack`` is
-its only entry; ``fit_mle`` is ``fit_stack`` on one row, packed into a
+shared (n, k) model matrix or over one matrix per row.  ``fit_stack``
+fits one link, ``fit_mle`` is ``fit_stack`` on one row, packed into a
 ``FitResult``.  Rows never interact, so a row ends exactly where it
 would alone.
 
@@ -38,13 +38,12 @@ log-likelihood does not fall.  A row also stops at the constant
 of every row in a pass; a row whose information is not finite or exactly
 singular, or whose linear predictor is not finite, fails alone.  A row
 whose response takes a single value has no maximum and is refused before
-the loop.  Iterates start from zero or from the caller's ``start``, so a
-run is reproducible bit for bit.  ``_stack_input`` lays a stack out once
-for all of its links; ``_fit_links`` fits logit first, each row of a
-model with an intercept from its linear-discriminant estimate
-(``_discriminant_start``), and starts each probit or cauchit row from
-its factor (``links._LOGIT_FACTOR``) times that row's logit fit, where
-that fit converged.
+the loop.  ``_fit_links`` is the one way into the solver, with the one
+start rule: logit first, each row of a model with an intercept from its
+linear-discriminant estimate (``_discriminant_start``), each probit or
+cauchit row from its factor (``_LOGIT_FACTOR``) times that row's logit
+fit where it converged, every other row from zero.  A start depends only
+on its own row, so a run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DomainError, LinkEquivError, NumericalError, SeparationError
-from .links import _LOG_TERMS, _LOGIT_FACTOR, _WEIGHTS, LinkKind
+from .links import _LOG_TERMS, _WEIGHTS, LinkKind, logistic_normal_scale
 
 __all__ = [
     "Dataset",
@@ -249,17 +248,16 @@ def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarr
     the first of them the terms themselves, which ``_derivatives`` turns
     into the score and information.  Every product is a batched matmul,
     so each row comes out exactly as it would on its own.  A row whose
-    eta is not finite gets a NaN ``ll``, and the log terms of zero
-    coefficients.
+    eta is not finite gets a NaN ``ll``, and the log terms of a zero
+    eta, which no caller reads.
     """
     eta = (beta[:, None, :] @ Xt)[:, 0, :]
-    if not np.isfinite(eta).all():
-        overflow = ~np.isfinite(eta).all(axis=1)
-        ll, parts = _likelihood(link, Xt, sign, np.where(overflow[:, None], 0.0, beta))
-        ll[overflow] = np.nan
-        return ll, parts
+    overflow = ~np.isfinite(eta).all(axis=1)
+    eta[overflow] = 0.0
     parts = _LOG_TERMS[link](eta, sign)
-    return parts[0].sum(axis=-1), parts
+    ll = parts[0].sum(axis=-1)
+    ll[overflow] = np.nan
+    return ll, parts
 
 
 def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tuple:
@@ -318,35 +316,41 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return _score_and_information(spec, beta, data)[1]
 
 
-def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Newton directions (H + ridge)^-1 g of a stack, and the reason each
-    failed row fails, keyed by its position: its information is not
-    finite, or its damped information is exactly singular.  A failed
-    row's direction is NaN.  When every row is finite, one batched solve
-    serves the stack; only when a row is not finite or that solve meets
-    a zero pivot are the failed rows found and solved as identity
-    systems.  Either way each row is factored alone, so a row's direction
-    does not depend on the others."""
-    k = g.shape[1]
-    damped = H + RIDGE * np.eye(k)
-    finite = np.isfinite(damped).all(axis=(1, 2))
-    if finite.all():
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solutions x of a stack of systems A x = b, (S, k, k) and (S, k),
+    and the masks of the rows whose A is not finite or exactly singular,
+    whose x is NaN.  One batched solve serves the stack unless a row is
+    not finite or it meets a zero pivot; then the failed rows are solved
+    as identity systems.  Either way each row is factored alone, so its
+    x does not depend on the others.  Overwrites ``A``."""
+    k = A.shape[-1]
+    nonfinite = ~np.isfinite(A).all(axis=(1, 2))
+    if not nonfinite.any():
         try:
-            return np.linalg.solve(damped, g[..., None])[..., 0], {}
+            return np.linalg.solve(A, b[..., None])[..., 0], nonfinite, nonfinite
         except np.linalg.LinAlgError:
             pass
     # failed rows are solved as identity systems, so that they cannot
     # disturb the batched solve of the others
-    damped[~finite] = np.eye(k)
+    A[nonfinite] = np.eye(k)
     # a zero sign marks a zero LU pivot, on which solve would raise
-    singular = np.linalg.slogdet(damped)[0] == 0.0
-    damped[singular] = np.eye(k)
-    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(~finite)}
+    singular = np.linalg.slogdet(A)[0] == 0.0
+    A[singular] = np.eye(k)
+    failed = nonfinite | singular
+    x = np.linalg.solve(A, np.where(failed[:, None], 0.0, b)[..., None])[..., 0]
+    x[failed] = np.nan
+    return x, nonfinite, singular
+
+
+def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Newton directions (H + ridge)^-1 g of a stack (``_solve_rows``), and
+    the reason each failed row fails, keyed by its position: its
+    information is not finite, or its damped information is exactly
+    singular.  A failed row's direction is NaN."""
+    direction, nonfinite, singular = _solve_rows(H + RIDGE * np.eye(g.shape[1]), g)
+    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(nonfinite)}
     for i in np.flatnonzero(singular):
         failures[int(i)] = "information matrix is singular even after ridge damping"
-    failed = ~finite | singular
-    direction = np.linalg.solve(damped, np.where(failed[:, None], 0.0, g)[..., None])[..., 0]
-    direction[failed] = np.nan
     return direction, failures
 
 
@@ -354,7 +358,7 @@ def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str
 # probe, so it is not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
-    """The solver behind ``fit_stack``, on a stack that ``_stack_input``
+    """The solver behind ``_fit_links``, on a stack that ``_stack_input``
     laid out, from the (S, k) points ``start``.
 
     The solver's state covers the running rows only: ``live`` maps each
@@ -451,32 +455,21 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     )
 
 
-def fit_stack(spec: ModelSpec, predictors, responses, start=None) -> StackFit:
-    """Fit S datasets in one batched solve.
+def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
+    """Fit S datasets under one link in one batched solve.
 
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
-    per row.  ``start`` is a finite (k,) point shared by every row or an
-    (S, k) stack of them; without it every row starts at zero.  Row i
-    ends where a one-row ``fit_stack`` from start i ends on dataset i
-    (``fit_mle`` when that start is zero), and has
-    converged when its Newton decrement fell in [0, ``SOLVER_TOL``]; a
-    row stops unconverged at ``MAX_ITERATIONS`` iterations at the latest.
-    Each row line-searches at its own step, so the stack makes as many
-    likelihood passes as its slowest row would alone.  A row whose fit
-    fails (single-valued response in a model with any coefficient,
-    information not finite or exactly singular, a linear predictor that
-    is not finite at its start or at a probe) gets NaN fields and its
-    exception in ``StackFit.errors``; the other rows are unaffected.
+    per row.  Row i starts by the rule of ``_fit_links`` and ends where
+    ``fit_mle`` ends on dataset i, for every link.  It has converged when
+    its Newton decrement fell in [0, ``SOLVER_TOL``], and stops at
+    ``MAX_ITERATIONS`` iterations at the latest.  A row whose fit fails
+    (single-valued response in a model with any coefficient, information
+    not finite or exactly singular, a linear predictor that is not finite
+    at its start or at a probe) gets NaN fields and its exception in
+    ``StackFit.errors``; the other rows are unaffected.
     """
-    stack = _stack_input(spec.intercept, predictors, responses)
-    S, k = stack[0].size, stack[2].shape[-2]
-    beta = np.zeros(k) if start is None else np.asarray(start, dtype=float)
-    if beta.shape not in ((k,), (S, k)):
-        raise ArgumentError(f"start must have shape ({k},) or ({S}, {k})")
-    if not np.isfinite(beta).all():
-        raise ArgumentError("start entries must be finite")
-    return _newton(spec.link, stack, np.broadcast_to(beta, (S, k)))
+    return _fit_links((spec.link,), spec.intercept, predictors, responses)[spec.link]
 
 
 def _stack_input(intercept: bool, predictors, responses) -> tuple:
@@ -507,43 +500,44 @@ def _discriminant_start(Xt: np.ndarray, sign: np.ndarray) -> np.ndarray:
     intercept row first and whose (S, n) response signs 2y - 1 hold both
     classes.  With class means mu0 and mu1 of the predictors and their
     within-class covariance Sw, pooled over n - 2, the slope is
-    Sw^-1 (mu1 - mu0) and the intercept log(n1/n0) - (mu1 + mu0)'slope/2.
-    That is the logistic MLE when each class is normal with a shared
-    covariance (Efron 1975, JASA 70), and with no predictors it is the
-    MLE log(n1/n0) exactly.  A row whose Sw is singular, or whose
-    estimate is not finite, gets zero.  Each row is summed along its own
-    elements and solved alone, so its start is the same bits whether it
-    is computed alone or in a stack."""
+    Sw^-1 (mu1 - mu0) and the intercept log(n1) - log(n0) - (mu1 +
+    mu0)'slope/2.  That is the logistic MLE when each class is normal with
+    a shared covariance (Efron 1975, JASA 70), and with no predictors it
+    is the MLE log(n1/n0).  A row whose Sw is singular, or whose estimate
+    is not finite, gets zero.  Each row is summed along its own elements
+    and solved alone, so its start is the same bits whether it is
+    computed alone or in a stack."""
     one = (sign > 0.0)[:, None, :]
     X = Xt[..., 1:, :]
-    n, p = sign.shape[1], X.shape[-2]
+    n = sign.shape[1]
     n1 = one.sum(axis=-1)
     n0 = n - n1
     mu1 = np.where(one, X, 0.0).sum(axis=-1) / n1
     mu0 = np.where(one, 0.0, X).sum(axis=-1) / n0
     centred = X - np.where(one, mu1[..., None], mu0[..., None])
     within = centred @ np.swapaxes(centred, -1, -2) / (n - 2)
-    # rejected rows are solved as identity systems, as in _directions
-    bad = ~np.isfinite(within).all(axis=(1, 2))
-    within[bad] = np.eye(p)
-    bad |= np.linalg.slogdet(within)[0] == 0.0
-    within[bad] = np.eye(p)
-    slope = np.linalg.solve(within, (mu1 - mu0)[..., None])[..., 0]
-    intercept = np.log(n1 / n0) - 0.5 * ((mu1 + mu0) * slope).sum(axis=-1, keepdims=True)
+    slope = _solve_rows(within, mu1 - mu0)[0]
+    # log(n1) - log(n0), unlike log(n1/n0), negates exactly when y -> 1 - y
+    intercept = (np.log(n1) - np.log(n0)
+                 - 0.5 * ((mu1 + mu0) * slope).sum(axis=-1, keepdims=True))
     start = np.concatenate([intercept, slope], axis=1)
-    start[bad | ~np.isfinite(start).all(axis=1)] = 0.0
+    start[~np.isfinite(start).all(axis=1)] = 0.0
     return start
 
 
+# probit and cauchit coefficients are about these factors times the logit
+# ones on the same data (the paper's structural equivalence)
+_LOGIT_FACTOR = {LinkKind.PROBIT: logistic_normal_scale(), LinkKind.CAUCHIT: math.pi / 4.0}
+
+
 def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, StackFit]:
-    """``fit_stack`` of the same stack under each link, logit first, with
-    the stack checked and laid out once.  In a model with an intercept, a
-    logit row starts at its linear-discriminant estimate
-    (``_discriminant_start``); without one, at zero.  A probit or cauchit
-    row starts at its link's factor times that row's logit coefficients
-    where the logit fit converged, and at zero where it did not or logit
-    is not among ``links``; every other row starts at zero.  A start
-    depends only on its own row, so blocking does not change any fit."""
+    """The fits of one stack under each link, the stack checked and laid
+    out once: the one way into ``_newton``.  Logit goes first; in a model
+    with an intercept its rows start at their linear-discriminant estimate
+    (``_discriminant_start``).  A probit or cauchit row starts at its
+    link's factor times that row's logit coefficients where the logit fit
+    converged.  Every other row starts at zero.  A start depends only on
+    its own row, so blocking does not change any fit."""
     stack = _stack_input(intercept, predictors, responses)
     refused, live, Xt, sign = stack
     S, k = refused.size, Xt.shape[-2]

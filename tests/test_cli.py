@@ -120,11 +120,12 @@ def test_paired_bytes_pinned(tmp_path, data, command, digest, jobs):
 # sha256 of structural CSVs: the equispaced design (one shared x, no
 # intercept) as written when the probit log term began to come from one
 # erfc, and the gaussian design (per-row x, with an intercept) as written
-# when its logit fits began to start from the linear discriminant
+# when the intercept of its logit fits' linear-discriminant start became
+# log(n1) - log(n0), which negates exactly when the labels flip
 @pytest.mark.parametrize("args, digest", [
     ((), "aea9e7d3ddfe00a13f1bf1aabd426e3b17a774ea4f425100900888f9b24a6098"),
     (("--design", "gaussian", "--sd", 2, "--beta0", 1, "--beta1", 2),
-     "42ff45e0edb9ae153fc81bc7ca0c516d55bb3947a566adace0ec5cd21c37f7f7"),
+     "ab9eaa3b32e90e3c50b6a763c50a53cafa0c7163164f11740d8bfc06ed940c50"),
 ], ids=["equispaced", "gaussian"])
 def test_structural_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "s.csv"

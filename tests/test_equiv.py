@@ -19,7 +19,6 @@ from linkequiv import (
     SplitPlan,
     cdf,
     fit_mle,
-    fit_stack,
     generate_dataset,
     ic_compare,
     information_criteria,
@@ -423,7 +422,8 @@ LOGIT_FACTORS = {LinkKind.PROBIT: math.sqrt(math.pi / 8.0), LinkKind.CAUCHIT: ma
 
 def loop_reference(data, links, plan, intercept):
     """The paired study one replicate and one link at a time: split, then
-    a one-row ``fit_stack``, then the test error, AIC and BIC of that fit.
+    a one-row ``fit._newton`` from a start derived here, then the test
+    error, AIC and BIC of that fit.
     Logit is fitted first, from the linear-discriminant estimate of a
     one-row stack in a model with an intercept and from zero otherwise;
     probit and cauchit start at their factor times the logit coefficients
@@ -432,8 +432,8 @@ def loop_reference(data, links, plan, intercept):
     te, aic, bic = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
     for r in range(plan.replications):
         train, test = split(data, plan, r)
-        _, live, Xt, sign = fit_module._stack_input(intercept, train.predictors,
-                                                    train.response[None])
+        stack = fit_module._stack_input(intercept, train.predictors, train.response[None])
+        _, live, Xt, sign = stack
         logit = None
         for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
             j = links.index(link)
@@ -444,7 +444,7 @@ def loop_reference(data, links, plan, intercept):
                 start = fit_module._discriminant_start(Xt, sign)[0]
             if link in LOGIT_FACTORS and logit is not None and logit.converged[0]:
                 start = LOGIT_FACTORS[link] * logit.coefficients[0]
-            fitted = fit_stack(spec, train.predictors, train.response[None], start=start)
+            fitted = fit_module._newton(link, stack, start[None])
             if link is LinkKind.LOGIT:
                 logit = fitted
             if fitted.errors[0] is not None:
