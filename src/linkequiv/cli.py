@@ -45,7 +45,7 @@ from .equiv import (
     structural_sim,
 )
 from .errors import ArgumentError, LinkEquivError
-from .fit import Dataset, ModelSpec, fit_mle
+from .fit import Dataset, ModelSpec, _fit_links, _fit_result
 from .links import LinkKind, cdf, density
 
 ALL_LINKS = tuple(LinkKind)
@@ -63,7 +63,9 @@ EXIT_TOO_MANY_INVALID = 3
 def _full(x: float) -> str:
     """Full-precision, round-trippable decimal text; an integer stays an
     integer and NaN becomes empty."""
-    if isinstance(x, numbers.Integral):
+    # the float test is cheap and settles most cells before the slower
+    # check against the Integral ABC
+    if not isinstance(x, float) and isinstance(x, numbers.Integral):
         return str(int(x))
     if math.isnan(x):
         return ""
@@ -196,14 +198,22 @@ def _parse_links(text: str) -> tuple[LinkKind, ...]:
     return tuple(links)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_replication_flags(args) -> None:
     """Reject --jobs below 1 and --max-invalid-frac outside [0, 1], and
-    cap --jobs at the number of CPUs."""
+    cap --jobs at the CPUs the process may run on."""
     if args.jobs < 1:
         raise ArgumentError("--jobs must be at least 1")
     if not 0.0 <= args.max_invalid_frac <= 1.0:
         raise ArgumentError("--max-invalid-frac must lie in [0, 1]")
-    args.jobs = min(args.jobs, os.cpu_count() or 1)
+    args.jobs = min(args.jobs, _usable_cpus())
 
 
 def _paired_setup(args) -> tuple[tuple[LinkKind, ...], SplitPlan]:
@@ -252,35 +262,37 @@ def _gen_config(args) -> GenConfig:
 
 
 def cmd_fit(args) -> int:
+    """Fit every named link in one ``_fit_links`` call, so that probit
+    and cauchit start from the command's own logit fit, as in the paired
+    studies."""
     data = read_dataset_csv(args.csv, args.response)
     links = _parse_links(args.links)
-    results = {}
-    for link in links:
-        spec = ModelSpec(link, intercept=not args.no_intercept)
-        results[link] = (spec, fit_mle(spec, data))
-    coef_names = results[links[0]][0].coefficient_names(data)
+    intercept = not args.no_intercept
+    fits = _fit_links(links, intercept, data.predictors, data.response[None])
+    results = {link: _fit_result(ModelSpec(link, intercept), fits[link], data)
+               for link in links}
+    coef_names = ModelSpec(links[0], intercept).coefficient_names(data)
     headers = ["coefficient"] + [str(link) for link in links]
     ratio = len(links) == 2
     if ratio:
         headers.append(f"ratio {links[0]}/{links[1]}")
     rows = []
     for i, name in enumerate(coef_names):
-        row = [name] + [f"{results[link][1].coefficients[i]:.4f}" for link in links]
+        row = [name] + [f"{results[link].coefficients[i]:.4f}" for link in links]
         if ratio:
-            top = results[links[0]][1].coefficients[i]
-            bottom = results[links[1]][1].coefficients[i]
+            top = results[links[0]].coefficients[i]
+            bottom = results[links[1]].coefficients[i]
             row.append(f"{top / bottom:.4f}" if bottom != 0.0 else "")
         rows.append(row)
     _print_table(headers, rows)
     print()
     summary_rows = [
-        [label] + [f"{getattr(results[link][1], label):.4f}" for link in links]
+        [label] + [f"{getattr(results[link], label):.4f}" for link in links]
         for label in ("loglik", "aic", "bic")
     ]
     _print_table(["measure"] + [str(link) for link in links], summary_rows)
     for link in links:
-        fitted = results[link][1]
-        for warning in fitted.warnings:
+        for warning in results[link].warnings:
             print(f"note: {link}: {warning}", file=sys.stderr)
     return EXIT_OK
 

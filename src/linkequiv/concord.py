@@ -193,11 +193,18 @@ def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
     """Test error of each row of a stacked training fit on its own test
     set, (B, m, k) model matrices with (B, m) labels, scored with one
-    ``cdf`` call; NaN where that row's fit failed."""
-    ok = fit.ok
-    eta = (points[ok] @ fit.coefficients[ok, :, None])[..., 0]
+    ``cdf`` call; NaN where that row's fit failed.  Only a stack with a
+    failed row is cut down to its fitted rows."""
+    ok, coefficients = fit.ok, fit.coefficients
+    every = ok.all()
+    if not every:
+        points, labels, coefficients = points[ok], labels[ok], coefficients[ok]
+    eta = (points @ coefficients[:, :, None])[..., 0]
+    errors = np.mean((cdf(spec.link, eta) >= 0.5) != labels, axis=1)
+    if every:
+        return errors
     out = np.full(ok.shape, np.nan)
-    out[ok] = np.mean((cdf(spec.link, eta) >= 0.5) != labels[ok], axis=1)
+    out[ok] = errors
     return out
 
 

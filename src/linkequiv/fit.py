@@ -83,6 +83,9 @@ RIDGE = 1e-10
 # look separable
 SEPARATION_BOUND = 30.0
 
+# the error of a row whose linear predictor overflows
+_NOT_FINITE = "linear predictor must be finite"
+
 WARN_SEPARATION = "separation_suspected"
 WARN_MAX_ITERATIONS = "max_iterations_reached"
 
@@ -252,11 +255,16 @@ def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarr
     eta, which no caller reads.
     """
     eta = (beta[:, None, :] @ Xt)[:, 0, :]
-    overflow = ~np.isfinite(eta).all(axis=1)
-    eta[overflow] = 0.0
+    # a sum of squares is finite only if every eta is: one dot product
+    # clears the stack, and only a stack that fails it is searched by row
+    overflow = None
+    if not np.isfinite(np.vdot(eta, eta)):
+        overflow = ~np.isfinite(eta).all(axis=1)
+        eta[overflow] = 0.0
     parts = _LOG_TERMS[link](eta, sign)
     ll = parts[0].sum(axis=-1)
-    ll[overflow] = np.nan
+    if overflow is not None:
+        ll[overflow] = np.nan
     return ll, parts
 
 
@@ -266,9 +274,9 @@ def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tup
     u, w = _WEIGHTS[link](sign, *parts)
     g = (Xt @ u[:, :, None])[:, :, 0]
     # where a row's products overflow, +inf and -inf sum to NaN; the
-    # solver then drops that row as having non-finite information
-    with np.errstate(invalid="ignore"):
-        H = (Xt * w[:, None, :]) @ np.swapaxes(Xt, -1, -2)
+    # solver then drops that row as having non-finite information (both
+    # callers run under an errstate that ignores the warning)
+    H = (Xt * w[:, None, :]) @ np.swapaxes(Xt, -1, -2)
     return g, H
 
 
@@ -282,7 +290,7 @@ def _one_row(spec: ModelSpec, beta, data: Dataset):
     with np.errstate(over="ignore", invalid="ignore"):
         ll, parts = _likelihood(spec.link, Xt, sign, b[None])
     if np.isnan(ll[0]):
-        raise DomainError("linear predictor must be finite")
+        raise DomainError(_NOT_FINITE)
     return Xt, sign, ll, parts
 
 
@@ -316,20 +324,21 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return _score_and_information(spec, beta, data)[1]
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     """Solutions x of a stack of systems A x = b, (S, k, k) and (S, k),
-    and the masks of the rows whose A is not finite or exactly singular,
+    and None when every row solves, else the masks ``(nonfinite,
+    singular)`` of the rows whose A is not finite or exactly singular,
     whose x is NaN.  One batched solve serves the stack unless a row is
     not finite or it meets a zero pivot; then the failed rows are solved
     as identity systems.  Either way each row is factored alone, so its
     x does not depend on the others.  Overwrites ``A``."""
-    k = A.shape[-1]
-    nonfinite = ~np.isfinite(A).all(axis=(1, 2))
-    if not nonfinite.any():
+    if np.isfinite(A).all():
         try:
-            return np.linalg.solve(A, b[..., None])[..., 0], nonfinite, nonfinite
+            return np.linalg.solve(A, b[..., None])[..., 0], None
         except np.linalg.LinAlgError:
             pass
+    k = A.shape[-1]
+    nonfinite = ~np.isfinite(A).all(axis=(1, 2))
     # failed rows are solved as identity systems, so that they cannot
     # disturb the batched solve of the others
     A[nonfinite] = np.eye(k)
@@ -339,15 +348,19 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     failed = nonfinite | singular
     x = np.linalg.solve(A, np.where(failed[:, None], 0.0, b)[..., None])[..., 0]
     x[failed] = np.nan
-    return x, nonfinite, singular
+    return x, (nonfinite, singular)
 
 
 def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Newton directions (H + ridge)^-1 g of a stack (``_solve_rows``), and
     the reason each failed row fails, keyed by its position: its
     information is not finite, or its damped information is exactly
-    singular.  A failed row's direction is NaN."""
-    direction, nonfinite, singular = _solve_rows(H + RIDGE * np.eye(g.shape[1]), g)
+    singular.  A failed row's direction is NaN.  ``H`` is left as it
+    was."""
+    direction, failed = _solve_rows(H + RIDGE * np.eye(g.shape[1]), g)
+    if failed is None:
+        return direction, {}
+    nonfinite, singular = failed
     failures = {int(i): "observed information is not finite" for i in np.flatnonzero(nonfinite)}
     for i in np.flatnonzero(singular):
         failures[int(i)] = "information matrix is singular even after ridge damping"
@@ -384,7 +397,11 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     a probe (``_likelihood`` gives it a NaN log-likelihood), is recorded
     with a ``DomainError`` and leaves the same way, before its first pass
     if its start overflows.  Rows never wait for each other, so the stack
-    makes as many likelihood passes as its slowest row would alone.
+    makes as many likelihood passes as its slowest row would alone.  In
+    the usual pass every row's Newton direction points uphill and every
+    row takes its probe; such a pass does no more than that, and the
+    gradient fallback, the failure records and the copying back of
+    refused rows run only in a pass where some row needs them.
     """
     refused, live, X, s = stack
     S, k = refused.size, X.shape[-2]
@@ -400,12 +417,12 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     step = np.ones(live.size)
     taken = np.zeros(live.size, dtype=int)
     # a row whose start overflows stops before its first pass
-    overflow = stop = np.isnan(l)
+    stop = np.isnan(l)
+    for i in live[stop]:
+        errors[i] = DomainError(_NOT_FINITE)
     verdict = np.zeros(live.size, dtype=bool)
     while True:
         if stop.any():
-            for i in live[overflow]:
-                errors[i] = DomainError("linear predictor must be finite")
             rows = live[stop]
             coefficients[rows], loglik[rows] = b[stop], l[stop]
             iterations[rows], converged[rows] = taken[stop], verdict[stop]
@@ -417,30 +434,45 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
             break
         g, H = _derivatives(link, X, s, parts)
         newton, failures = _directions(H, g)
-        for pos, reason in failures.items():
-            errors[live[pos]] = NumericalError(reason)
-        decrement = np.sum(g * newton, axis=1)
-        # the cauchit information can be indefinite: where the Newton
-        # direction does not point uphill, take the gradient instead
-        uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
-        direction = np.where(uphill[:, None], newton, g)
-        direction[list(failures)] = 0.0
+        decrement = (g * newton).sum(axis=1)
+        # a direction that is not finite gives a decrement that is not; the
+        # usual pass, every decrement positive and finite, takes every
+        # Newton direction
+        direction = newton
+        if failures or not ((decrement > 0.0) & (decrement < np.inf)).all():
+            # the cauchit information can be indefinite: where the Newton
+            # direction does not point uphill, take the gradient instead
+            uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
+            direction = np.where(uphill[:, None], newton, g)
+            for pos, reason in failures.items():
+                errors[live[pos]] = NumericalError(reason)
+                direction[pos] = 0.0
         # the decrement rule: this pass's probe is the row's last
         verdict = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
         candidate = b + step[:, None] * direction
         c_l, c_parts = _likelihood(link, X, s, candidate)
-        # a probe whose eta is not finite fails its row
-        overflow = np.isnan(c_l)
         # ties are accepted: near the optimum the true gain rounds below
-        # the float resolution of the log-likelihood
+        # the float resolution of the log-likelihood; an accepted step that
+        # moves no coefficient is a stall
         accepted = c_l >= l
-        # an accepted step that moves no coefficient is a stall
-        stay = ~(accepted & np.any(candidate != b, axis=1))
+        moved = accepted & (candidate != b).any(axis=1)
+        if moved.all():
+            # the usual pass: every row takes its probe
+            b, l, parts = candidate, c_l, c_parts
+            taken += 1
+            step.fill(1.0)
+            stop = verdict | (taken >= MAX_ITERATIONS)
+            continue
+        # a probe whose eta is not finite fails its row (NaN refuses it)
+        overflow = np.isnan(c_l)
+        for i in live[overflow]:
+            errors[i] = DomainError(_NOT_FINITE)
+        stay = ~moved
         candidate[stay], c_l[stay] = b[stay], l[stay]
         for new, old in zip(c_parts, parts):
             new[stay] = old[stay]
         b, l, parts = candidate, c_l, c_parts
-        taken += ~stay
+        taken += moved
         step = np.where(stay, 0.5 * step, 1.0)
         stop = (overflow | verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
                 | (taken >= MAX_ITERATIONS))
@@ -580,13 +612,18 @@ def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
     information matrix is not finite or is exactly singular, and
     ``DomainError`` when a probe's linear predictor is not finite.
     """
-    stack = fit_stack(spec, data.predictors, data.response[None])
-    if stack.errors[0] is not None:
-        raise stack.errors[0]
-    beta = stack.coefficients[0]
-    ll = float(stack.loglik[0])
-    iterations = int(stack.iterations[0])
-    converged = bool(stack.converged[0])
+    return _fit_result(spec, fit_stack(spec, data.predictors, data.response[None]), data)
+
+
+def _fit_result(spec: ModelSpec, fit: StackFit, data: Dataset) -> FitResult:
+    """The ``FitResult`` of a one-row ``StackFit`` of ``data`` under
+    ``spec``, with its warnings; raises the row's error if it failed."""
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    beta = fit.coefficients[0]
+    ll = float(fit.loglik[0])
+    iterations = int(fit.iterations[0])
+    converged = bool(fit.converged[0])
     warnings = []
     if iterations >= MAX_ITERATIONS and not converged:
         warnings.append(WARN_MAX_ITERATIONS)

@@ -31,7 +31,10 @@ log(1 - F(eta)) where y = 0, with no clamp.  For the symmetric links
 1 - F(eta) = F(-eta), so the term is log F(t) at t = s*eta.  Probit
 forms it from one erfc per element, e = Phi(-|t|): log(e) below t = 0
 and log1p(-e) above it, with ``log_ndtr`` only below t = -37, where e
-nears the subnormal range.  ``_WEIGHTS`` turns what that pass kept
+nears the subnormal range.  Cauchit forms it from one arctan per
+element, b = pi*F(-|t|) = arctan(1/|t|), which is exact in both tails
+and is pi/2 where 1/|t| overflows: log(b/pi) below t = 0 and
+log1p(-b/pi) above it.  ``_WEIGHTS`` turns what that pass kept
 into the score weight u = dl/deta and the information weight
 w = -d2l/deta2, so the solver never evaluates eta, F or the log twice
 for one point.  Both stay finite and accurate in both tails, out to
@@ -227,9 +230,11 @@ def _logit_weights(s, term):
 
 def _cauchit_log_terms(eta, s):
     t = s * eta
-    # b = pi*F(-|t|) is exact in both tails, where arctan(t)/pi + 1/2 is not;
-    # a = pi*F(t)
-    b = np.arctan2(1.0, np.abs(t))
+    # b = pi*F(-|t|) = arctan(1/|t|) is exact in both tails, where
+    # arctan(t)/pi + 1/2 is not, and is cheaper than arctan2(1, |t|); where
+    # 1/|t| overflows, t = 0 included, it is arctan(inf) = pi/2.  a = pi*F(t)
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.arctan(1.0 / np.abs(t))
     lower = t < 0.0
     a = np.where(lower, b, math.pi - b)
     return np.where(lower, np.log(b) - _LOG_PI, np.log1p(b * (-1.0 / math.pi))), t, a

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkequiv import cli, concord, parallel
+from linkequiv import LinkKind, ModelSpec, cli, concord, parallel
+from linkequiv import fit as fit_module
 from linkequiv.cli import EXIT_ERROR, EXIT_OK, EXIT_TOO_MANY_INVALID, main, read_dataset_csv
 
 
@@ -89,9 +90,10 @@ class TestGen:
 # call, and the thin one from when fits began to stop on the Newton
 # decrement; both ic pins were re-derived when the paired pass began to
 # order each split's rows by response and then x, and logit fits began to
-# start from the linear discriminant.  Each agrees with the same run at
-# every --jobs value.  "thin" has training splits without a
-# positive label, so its CSVs hold failed (empty) cells.
+# start from the linear discriminant; the gauss ic pin again when the
+# cauchit log term began to take pi*F(-|t|) from arctan(1/|t|).  Each
+# agrees with the same run at every --jobs value.  "thin" has training
+# splits without a positive label, so its CSVs hold failed (empty) cells.
 PAIRED_GEN = {
     "gauss": ("--design", "gaussian", "--sd", 2, "--truth-link", "cauchit", "--beta0", 1,
               "--beta1", 2, "--seed", 3, "--n", 200),
@@ -102,7 +104,7 @@ PAIRED_GEN = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("data, command, digest", [
     ("gauss", "predictive", "6ffa0ccc07a0d6ed924168d538d03c641aa8c795eab6ef612ba4692f52b5eec9"),
-    ("gauss", "ic", "1a8472169f18a41f57cbc7736fc5dea42740e9c45232f05936ba3ac4c5f31285"),
+    ("gauss", "ic", "04c288fdaf833d264dbfe64a89d05372208a8ece8a4973a6f07740d553e0f800"),
     ("thin", "predictive", "dc5737f0c15e3ad118afd086dff0f2795835d7e10cb4bf9f984b330b1747e6d7"),
     ("thin", "ic", "07be397a44ea0de4fd056cd2433ce8b4a72302c8e2518a595b5d02800d342bee"),
 ], ids=["gauss-predictive", "gauss-ic", "thin-predictive", "thin-ic"])
@@ -165,7 +167,45 @@ def test_console_script_target_resolves():
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+# ``fit --links all`` on the paired studies' 500-row draw, as printed when
+# every link was fitted by its own fit_mle call
+P500_FIT_TABLE = """\
+coefficient  probit  compit   cauchit  logit
+intercept    0.3892  -0.1233  1.3166   0.7787
+x            0.7536  0.6096   3.0002   1.5530
+
+measure  probit     compit     cauchit    logit
+loglik   -181.7288  -198.9191  -159.2406  -172.3913
+aic      367.4575   401.8381   322.4812   348.7826
+bic      375.8867   410.2673   330.9104   357.2118
+"""
+
+
 class TestFit:
+    def test_links_share_one_warm_started_solve(self, tmp_path, capsys, monkeypatch):
+        """The command fits its links in one ``_fit_links`` call: the table
+        is the one that per-link fit_mle calls printed, and the cauchit fit,
+        started from the command's logit fit, takes the iterations of its
+        ``_fit_links`` row, fewer than a fit from zero."""
+        path = tmp_path / "p500.csv"
+        assert run("gen", *PAIRED_GEN["gauss"][:-1], 500, "--out", path) == EXIT_OK
+        capsys.readouterr()
+        results = []
+        inner = cli._fit_result
+
+        def recorded(spec, fit, data):
+            results.append((spec.link, inner(spec, fit, data)))
+            return results[-1][1]
+
+        monkeypatch.setattr(cli, "_fit_result", recorded)
+        assert run("fit", path, "--links", "all") == EXIT_OK
+        assert capsys.readouterr().out == P500_FIT_TABLE
+        data = read_dataset_csv(path, "y")
+        row = fit_module._fit_links(cli.ALL_LINKS, True, data.predictors, data.response[None])
+        cauchit = dict(results)[LinkKind.CAUCHIT]
+        assert cauchit.iterations == row[LinkKind.CAUCHIT].iterations[0]
+        assert cauchit.iterations < fit_module.fit_mle(ModelSpec(LinkKind.CAUCHIT), data).iterations
+
     def test_round_trips_generated_csv(self, dataset_csv, capsys):
         assert run("fit", dataset_csv) == EXIT_OK
         out = capsys.readouterr().out
@@ -365,6 +405,18 @@ def replication_argv(command, csv_path, out):
     return ["ic", csv_path, "-R", 3, "--links", "logit", "--out", out]
 
 
+def fake_cpus(monkeypatch, count, usable):
+    """The host as ``cli`` sees it: ``count`` CPUs, of which the process
+    may run on ``usable``; with ``usable`` None the platform reports no
+    affinity set."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+    if usable is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records the worker count and maps
     in this process, so no worker process is started."""
@@ -396,13 +448,28 @@ class TestReplicationFlags:
     @pytest.mark.parametrize("cpus, started", [(1, []), (3, [3])])
     def test_jobs_capped_at_cpu_count(self, command, cpus, started, dataset_csv, tmp_path,
                                       monkeypatch):
+        """Where the platform reports no affinity set, the CPU count caps
+        --jobs."""
         # a budget of one element makes every paired replicate a block of its own
         monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        fake_cpus(monkeypatch, cpus, None)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "started", [])
         out = tmp_path / "o.csv"
         assert run(*replication_argv(command, dataset_csv, out), "--jobs", 64) == EXIT_OK
+        assert FakePool.started == started
+
+    @pytest.mark.parametrize("jobs, usable, started", [(2, 1, []), (64, 3, [3])])
+    def test_jobs_capped_at_usable_cpus(self, command, jobs, usable, started, dataset_csv,
+                                        tmp_path, monkeypatch):
+        """A process pinned to fewer CPUs than the host has (``taskset -c
+        0`` on 8 CPUs) starts no more workers than it may run on."""
+        monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
+        fake_cpus(monkeypatch, 8, usable)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "started", [])
+        out = tmp_path / "o.csv"
+        assert run(*replication_argv(command, dataset_csv, out), "--jobs", jobs) == EXIT_OK
         assert FakePool.started == started
 
     @pytest.mark.parametrize("frac", ["-1", "1.5", "nan"])
@@ -426,7 +493,7 @@ def test_one_pool_per_paired_command(command, jobs, started, dataset_csv, tmp_pa
     replicates into 3 blocks, mapped once for every link, not once per
     link."""
     monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    fake_cpus(monkeypatch, 3, 3)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "started", [])
     argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
@@ -439,7 +506,7 @@ def test_one_pool_per_paired_command(command, jobs, started, dataset_csv, tmp_pa
 def test_pass_within_one_block_starts_no_pool(command, dataset_csv, tmp_path, monkeypatch):
     """3 replicates of 54 training rows x 2 coefficients fit in one budget
     block, which runs in this process at any --jobs."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    fake_cpus(monkeypatch, 3, 3)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "started", [])
     argv = replication_argv(command, dataset_csv, tmp_path / "o.csv")
@@ -452,7 +519,7 @@ def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
     """A pool starts every worker up front, so the 2 replicate tasks of
     ``structural -R 2`` at --jobs 64 (capped at 3 CPUs) start 2 workers,
     not 3."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    fake_cpus(monkeypatch, 3, 3)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "started", [])
     argv = ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", tmp_path / "o.csv"]
@@ -522,6 +589,14 @@ class TestIc:
         assert len(rows) == 3
         printed = capsys.readouterr().out
         assert "AIC" in printed and "BIC" in printed
+
+
+@pytest.mark.parametrize("cell, text", [
+    (0.1, "0.1"), (np.float64(-2.5e-300), "-2.5e-300"), (np.float32(0.5), "0.5"),
+    (3, "3"), (np.int64(-7), "-7"), (True, "1"), (math.nan, ""), (np.float64("nan"), ""),
+])
+def test_full_precision_cell_text(cell, text):
+    assert cli._full(cell) == text
 
 
 class TestCdfGrid:

@@ -649,6 +649,90 @@ class TestFitStack:
             if signs is not None:
                 assert not (signs == target).all(axis=1).any()
 
+    def test_rare_rows_match_their_one_row_solves(self, monkeypatch):
+        """A cauchit stack whose rows take each rare path of a pass beside
+        ordinary rows: refused probes that halve and gradient steps where
+        the Newton direction is not uphill (two flipped-label draws), a
+        failure injected into a row's third pass, information that is not
+        finite, and a first probe whose eta overflows.  Every row, ordinary
+        or rare, ends bit for bit where its one-row solve ends, and the
+        one-row solves of the ordinary rows take none of those paths."""
+        spec, n = ModelSpec(LinkKind.CAUCHIT), 30
+        stream = substream(310)
+
+        def ordinary():
+            x = stream.normal(size=n)
+            y = (stream.random(n) < cdf(LinkKind.CAUCHIT, 0.3 + 0.8 * x)).astype(float)
+            y[:2] = 0.0, 1.0
+            return x, y
+
+        rows = [ordinary(), flipped_label_draw(substream(900, 27)), ordinary()]
+        x, y = ordinary()
+        rows += [(1e160 * x, y),
+                 (1e155 * np.resize([1.0, -1.0], n), np.resize([1.0, 0.0], n)),
+                 flipped_label_draw(substream(900, 47)), ordinary()]
+        P = np.stack([x[:, None] for x, _ in rows])
+        Y = np.stack([y for _, y in rows])
+        start = np.zeros((len(rows), 2))
+        # eta is -+800 at the start, and the first probe overflows
+        start[4, 1] = -8e-153
+        reason = "observed information is not finite"
+        failing = 2.0 * Y[2] - 1.0
+        assert sum((2.0 * Y - 1.0 == failing).all(axis=1)) == 1
+        log = {}
+        inner = {name: getattr(fit_module, name)
+                 for name in ("_likelihood", "_derivatives", "_directions")}
+
+        def likelihood(*args):
+            log["passes"] += 1
+            return inner["_likelihood"](*args)
+
+        def derivatives(link, Xt, sign, parts):
+            log["signs"] = sign
+            return inner["_derivatives"](link, Xt, sign, parts)
+
+        def directions(H, g):
+            direction, failures = inner["_directions"](H, g)
+            log["not_uphill"] += int(np.sum(np.sum(g * direction, axis=1) <= 0.0))
+            hit = np.flatnonzero((log["signs"] == failing).all(axis=1))
+            if hit.size:
+                log["failing"] += 1
+                if log["failing"] == 3:
+                    direction[hit[0]] = np.nan
+                    failures[int(hit[0])] = reason
+            return direction, failures
+
+        def solve(i):
+            log.update(passes=0, not_uphill=0, failing=0)
+            part = slice(None) if i is None else slice(i, i + 1)
+            return newton(spec, P[part], Y[part], start[part])
+
+        for name, wrapper in (("_likelihood", likelihood), ("_derivatives", derivatives),
+                              ("_directions", directions)):
+            monkeypatch.setattr(fit_module, name, wrapper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = solve(None)
+            for i in range(len(rows)):
+                alone = solve(i)
+                assert repr(stack.errors[i]) == repr(alone.errors[0])
+                for field in ("coefficients", "loglik", "iterations", "converged"):
+                    np.testing.assert_array_equal(getattr(stack, field)[i],
+                                                  getattr(alone, field)[0])
+                refused = log["passes"] - 1 - alone.iterations[0]
+                if i in (1, 5):
+                    # two probes not taken: at most the last stops the row,
+                    # so at least one halved
+                    assert log["not_uphill"] >= 1 and refused >= 2
+                elif i in (0, 6):
+                    assert log["not_uphill"] == 0 and refused == 0
+        assert [type(e) for e in stack.errors] == [
+            type(None), type(None), NumericalError, NumericalError, DomainError, type(None),
+            type(None)]
+        assert str(stack.errors[2]) == str(stack.errors[3]) == reason
+        assert stack.iterations[2] == 2 and stack.iterations[4] == 0
+        assert stack.converged[[0, 1, 5, 6]].all()
+
     def test_single_fit_raises_the_row_error(self):
         x = np.arange(1.0, 41.0)
         data = Dataset(np.stack([x, x], axis=1) * 1e5, (x % 3 == 0).astype(float))

@@ -1,6 +1,7 @@
 """Link-function values, inverses, densities and their shared identities."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -211,11 +212,12 @@ def _bits(x):
 
 
 # the body, both clamp tails, both sides of the probit log term's hand-off
-# from erfc to log_ndtr, the compit exp() cap near 700 and overflow of u*u
-# and exp() out to |u| = 1e300
+# from erfc to log_ndtr, the compit exp() cap near 700, overflow of u*u
+# and exp() out to |u| = 1e300, and the cauchit 1/|t| at zero and where
+# it overflows (|t| of 1e-310 and below)
 U_GRID = np.concatenate([
     np.linspace(-40.0, 40.0, 321),
-    [0.0, -0.0, 5e-324, 1e-300, 1e-8, 3.54, 7.94, 8.3, 37.5, 38.5],
+    [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-8, 3.54, 7.94, 8.3, 37.5, 38.5, 1e300],
     [np.nextafter(_PROBIT_DEEP, 0.0), _PROBIT_DEEP, np.nextafter(_PROBIT_DEEP, -np.inf)],
     [699.0, 700.0, 700.5, 709.7, 709.8, 710.0, 1e4],
     np.logspace(-3.0, 300.0, 61),
@@ -343,6 +345,16 @@ class TestLogTermsAgainstMpmath:
             exact = _exact_terms(link, float(x), y)
             for name, value, truth in zip(("term", "u", "w"), (parts[0][i], u[i], w[i]), exact):
                 assert not _mismatch(float(value), truth, 1e-12), (name, float(x), value, truth)
+
+    def test_cauchit_term_at_zero_is_exact_without_a_warning(self):
+        """Where 1/|t| divides by zero or overflows, pi*F(-|t|) is pi/2
+        exactly and the term log(1/2) to rounding, with no warning."""
+        t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term, _, a = _LOG_TERMS[LinkKind.CAUCHIT](t, np.ones_like(t))
+        assert (a == math.pi / 2).all()
+        np.testing.assert_allclose(term, -math.log(2.0), rtol=1e-15)
 
 
 class TestMonotonicityAndInversion:
