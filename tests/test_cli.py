@@ -188,7 +188,7 @@ class TestFit:
         started from the command's logit fit, takes the iterations of its
         ``_fit_links`` row, fewer than a fit from zero."""
         path = tmp_path / "p500.csv"
-        assert run("gen", *PAIRED_GEN["gauss"][:-1], 500, "--out", path) == EXIT_OK
+        assert run("gen", *PAIRED_GEN["gauss"][:-2], "--n", 500, "--out", path) == EXIT_OK
         capsys.readouterr()
         results = []
         inner = cli._fit_result
