@@ -437,8 +437,8 @@ def _add_replication_flags(p, *, reps, out):
     p.add_argument("--seed", type=int, default=0,
                    help="stream seed (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, capped at the CPU count "
-                        "(default %(default)s)")
+                   help="worker processes, capped at the CPUs this process "
+                        "may run on (default %(default)s)")
     p.add_argument("--max-invalid-frac", type=float, default=0.01,
                    help="failed-replicate fraction in [0, 1] tolerated "
                         "before a nonzero exit (default %(default)s)")
