@@ -119,7 +119,11 @@ def _points_matrix(c: Classifier, x) -> tuple[np.ndarray, bool]:
 def predict_prob(c: Classifier, x):
     """F(eta(x)) for a single point (1-d) or a matrix of row points."""
     pts, single = _points_matrix(c, x)
-    prob = cdf(c.spec.link, _model_matrix(pts, c.spec.intercept) @ c.coefficients)
+    # cdf refuses an eta that overflows with a DomainError, so the overflow
+    # itself is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _model_matrix(pts, c.spec.intercept) @ c.coefficients
+    prob = cdf(c.spec.link, eta)
     return float(prob[0]) if single else prob
 
 
@@ -133,8 +137,6 @@ def classify(c: Classifier, x):
 
 def test_error(c: Classifier, test: Dataset) -> float:
     """Fraction of test rows whose predicted class differs from y."""
-    if test.n < 1:
-        raise ArgumentError("test set must be non-empty")
     labels = classify(c, test.predictors)
     return float(np.mean(labels != test.response))
 
@@ -193,19 +195,14 @@ def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
     """Test error of each row of a stacked training fit on its own test
     set, (B, m, k) model matrices with (B, m) labels, scored with one
-    ``cdf`` call; NaN where that row's fit failed.  Only a stack with a
-    failed row is cut down to its fitted rows."""
-    ok, coefficients = fit.ok, fit.coefficients
-    every = ok.all()
-    if not every:
-        points, labels, coefficients = points[ok], labels[ok], coefficients[ok]
+    ``cdf`` call; NaN where that row's fit failed.  A failed row is scored
+    at zero coefficients, so every row takes the same path."""
+    ok = fit.ok
+    coefficients = np.where(ok[:, None], fit.coefficients, 0.0)
     eta = (points @ coefficients[:, :, None])[..., 0]
     errors = np.mean((cdf(spec.link, eta) >= 0.5) != labels, axis=1)
-    if every:
-        return errors
-    out = np.full(ok.shape, np.nan)
-    out[ok] = errors
-    return out
+    errors[~ok] = np.nan
+    return errors
 
 
 def _ic_replicate(fit: StackFit, n: int) -> tuple[np.ndarray, np.ndarray]:

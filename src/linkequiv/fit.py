@@ -38,7 +38,11 @@ log-likelihood does not fall.  A row also stops at the constant
 of every row in a pass; a row whose information is not finite or exactly
 singular, or whose linear predictor is not finite, fails alone.  A row
 whose response takes a single value has no maximum and is refused before
-the loop.  ``_fit_links`` is the one way into the solver, with the one
+the loop.  A failure is one integer code per row, whose exception class
+and message ``_FAILURES`` names: the solve and the likelihood pass give
+the codes, the row writes its code out with its other fields where it
+leaves the solver, and ``StackFit.errors`` is built from the codes once,
+at the end.  ``_fit_links`` is the one way into the solver, with the one
 start rule: logit first, each row of a model with an intercept from its
 linear-discriminant estimate (``_discriminant_start``), each probit or
 cauchit row from its factor (``_LOGIT_FACTOR``) times that row's logit
@@ -83,8 +87,15 @@ RIDGE = 1e-10
 # look separable
 SEPARATION_BOUND = 30.0
 
-# the error of a row whose linear predictor overflows
-_NOT_FINITE = "linear predictor must be finite"
+# A row that fails is recorded as one code, 0 for a row that did not;
+# ``_FAILURES`` names the exception class and message of each code.
+_SINGLE_VALUED, _NOT_FINITE, _INFORMATION_NOT_FINITE, _SINGULAR = 1, 2, 3, 4
+_FAILURES = {
+    _SINGLE_VALUED: (SeparationError, "response takes a single value; coefficients diverge"),
+    _NOT_FINITE: (DomainError, "linear predictor must be finite"),
+    _INFORMATION_NOT_FINITE: (NumericalError, "observed information is not finite"),
+    _SINGULAR: (NumericalError, "information matrix is singular even after ridge damping"),
+}
 
 WARN_SEPARATION = "separation_suspected"
 WARN_MAX_ITERATIONS = "max_iterations_reached"
@@ -206,6 +217,12 @@ class StackFit:
         return np.array([e is None for e in self.errors], dtype=bool)
 
 
+def _failure(code: int) -> LinkEquivError:
+    """A new exception for a row that failed with ``code``."""
+    kind, message = _FAILURES[code]
+    return kind(message)
+
+
 def _check_entries(predictors: np.ndarray, responses: np.ndarray) -> None:
     """Reject non-finite predictors and responses other than 0/1."""
     if not np.all(np.isfinite(predictors)):
@@ -290,7 +307,7 @@ def _one_row(spec: ModelSpec, beta, data: Dataset):
     with np.errstate(over="ignore", invalid="ignore"):
         ll, parts = _likelihood(spec.link, Xt, sign, b[None])
     if np.isnan(ll[0]):
-        raise DomainError(_NOT_FINITE)
+        raise _failure(_NOT_FINITE)
     return Xt, sign, ll, parts
 
 
@@ -324,47 +341,39 @@ def observed_information(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return _score_and_information(spec, beta, data)[1]
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solutions x of a stack of systems A x = b, (S, k, k) and (S, k),
-    and None when every row solves, else the masks ``(nonfinite,
-    singular)`` of the rows whose A is not finite or exactly singular,
-    whose x is NaN.  One batched solve serves the stack unless a row is
-    not finite or it meets a zero pivot; then the failed rows are solved
-    as identity systems.  Either way each row is factored alone, so its
-    x does not depend on the others.  Overwrites ``A``."""
+    and the (S,) failure codes of the rows: ``_INFORMATION_NOT_FINITE``
+    where A is not finite, ``_SINGULAR`` where it meets a zero LU pivot,
+    and 0 where the row solves.  A failed row's x is NaN.  One batched
+    solve serves the stack unless a row is not finite or the solve
+    raises; then each row is solved alone, to the same bits as in the
+    batched solve, so a row's x does not depend on the others.  ``A`` is
+    left as it was."""
+    code = np.zeros(len(A), dtype=int)
     if np.isfinite(A).all():
         try:
-            return np.linalg.solve(A, b[..., None])[..., 0], None
+            return np.linalg.solve(A, b[..., None])[..., 0], code
         except np.linalg.LinAlgError:
             pass
-    k = A.shape[-1]
-    nonfinite = ~np.isfinite(A).all(axis=(1, 2))
-    # failed rows are solved as identity systems, so that they cannot
-    # disturb the batched solve of the others
-    A[nonfinite] = np.eye(k)
-    # a zero sign marks a zero LU pivot, on which solve would raise
-    singular = np.linalg.slogdet(A)[0] == 0.0
-    A[singular] = np.eye(k)
-    failed = nonfinite | singular
-    x = np.linalg.solve(A, np.where(failed[:, None], 0.0, b)[..., None])[..., 0]
-    x[failed] = np.nan
-    return x, (nonfinite, singular)
+    x = np.full(b.shape, np.nan)
+    for i, (a_i, b_i) in enumerate(zip(A, b)):
+        if not np.isfinite(a_i).all():
+            code[i] = _INFORMATION_NOT_FINITE
+            continue
+        try:
+            x[i] = np.linalg.solve(a_i, b_i)
+        except np.linalg.LinAlgError:
+            code[i] = _SINGULAR
+    return x, code
 
 
-def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Newton directions (H + ridge)^-1 g of a stack (``_solve_rows``), and
-    the reason each failed row fails, keyed by its position: its
-    information is not finite, or its damped information is exactly
-    singular.  A failed row's direction is NaN.  ``H`` is left as it
-    was."""
-    direction, failed = _solve_rows(H + RIDGE * np.eye(g.shape[1]), g)
-    if failed is None:
-        return direction, {}
-    nonfinite, singular = failed
-    failures = {int(i): "observed information is not finite" for i in np.flatnonzero(nonfinite)}
-    for i in np.flatnonzero(singular):
-        failures[int(i)] = "information matrix is singular even after ridge damping"
-    return direction, failures
+def _directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton directions (H + ridge)^-1 g of a stack and the failure code
+    of each row, as ``_solve_rows`` gives them: a row fails when its
+    information is not finite or its damped information is exactly
+    singular, and its direction is then NaN."""
+    return _solve_rows(H + RIDGE * np.eye(g.shape[1]), g)
 
 
 # an overflow touches only its own row, which then fails or refuses its
@@ -391,23 +400,23 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     probe that moves no coefficient, when its halvings run out or at
     ``MAX_ITERATIONS`` iterations: at the top of the next pass it writes
     its outcome into the stack and leaves the state, and is not evaluated
-    again.  A row that ``_directions`` fails is recorded in ``errors``
-    and gets a zero direction, so its probe stalls and it leaves the same
-    way.  A row whose linear predictor is not finite, at its start or at
-    a probe (``_likelihood`` gives it a NaN log-likelihood), is recorded
-    with a ``DomainError`` and leaves the same way, before its first pass
-    if its start overflows.  Rows never wait for each other, so the stack
-    makes as many likelihood passes as its slowest row would alone.  In
-    the usual pass every row's Newton direction points uphill and every
-    row takes its probe; such a pass does no more than that, and the
-    gradient fallback, the failure records and the copying back of
-    refused rows run only in a pass where some row needs them.
+    again.  A row fails with the code that ``_directions`` gives it, or
+    with ``_NOT_FINITE`` where its linear predictor is not finite at its
+    start or at a probe (``_likelihood`` gives it a NaN log-likelihood);
+    a row failed by ``_directions`` probes its own point with a zero
+    direction.  A failed row stops after that probe, before its first
+    pass if its start overflows, and the one stop site writes its code
+    with NaN numeric fields; ``StackFit.errors`` is built from the codes
+    at return.  Rows never wait for each other, so the stack makes as
+    many likelihood passes as its slowest row would alone.  In the usual
+    pass every row's Newton direction points uphill and every row takes
+    its probe; such a pass does no more than that, and the gradient
+    fallback, the failure codes of probes and the copying back of refused
+    rows run only in a pass where some row needs them.
     """
     refused, live, X, s = stack
     S, k = refused.size, X.shape[-2]
-    errors: list[LinkEquivError | None] = [
-        SeparationError("response takes a single value; coefficients diverge") if r else None
-        for r in refused]
+    failure = np.where(refused, _SINGLE_VALUED, 0)
     coefficients = np.full((S, k), np.nan)
     loglik = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
@@ -417,15 +426,17 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     step = np.ones(live.size)
     taken = np.zeros(live.size, dtype=int)
     # a row whose start overflows stops before its first pass
-    stop = np.isnan(l)
-    for i in live[stop]:
-        errors[i] = DomainError(_NOT_FINITE)
+    code = np.where(np.isnan(l), _NOT_FINITE, 0)
+    stop = code > 0
     verdict = np.zeros(live.size, dtype=bool)
     while True:
         if stop.any():
-            rows = live[stop]
-            coefficients[rows], loglik[rows] = b[stop], l[stop]
-            iterations[rows], converged[rows] = taken[stop], verdict[stop]
+            # the one place a row leaves: a failed row's numeric fields are NaN
+            rows, ok = live[stop], code[stop] == 0
+            coefficients[rows] = np.where(ok[:, None], b[stop], np.nan)
+            loglik[rows] = np.where(ok, l[stop], np.nan)
+            iterations[rows], converged[rows] = taken[stop], verdict[stop] & ok
+            failure[rows] = code[stop]
             keep = ~stop
             live, s, b, l, step, taken = (state[keep] for state in (live, s, b, l, step, taken))
             parts = [part[keep] for part in parts]
@@ -433,20 +444,19 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
         if not live.size:
             break
         g, H = _derivatives(link, X, s, parts)
-        newton, failures = _directions(H, g)
+        newton, code = _directions(H, g)
         decrement = (g * newton).sum(axis=1)
-        # a direction that is not finite gives a decrement that is not; the
-        # usual pass, every decrement positive and finite, takes every
-        # Newton direction
+        # a direction that is not finite, a failed row's NaN among them,
+        # gives a decrement that is not; the usual pass, every decrement
+        # positive and finite, takes every Newton direction
         direction = newton
-        if failures or not ((decrement > 0.0) & (decrement < np.inf)).all():
+        if not ((decrement > 0.0) & (decrement < np.inf)).all():
             # the cauchit information can be indefinite: where the Newton
             # direction does not point uphill, take the gradient instead
             uphill = np.isfinite(newton).all(axis=1) & (decrement > 0.0)
             direction = np.where(uphill[:, None], newton, g)
-            for pos, reason in failures.items():
-                errors[live[pos]] = NumericalError(reason)
-                direction[pos] = 0.0
+            # a failed row probes its own point, which it does not leave
+            direction[code > 0] = 0.0
         # the decrement rule: this pass's probe is the row's last
         verdict = (decrement >= 0.0) & (decrement <= SOLVER_TOL)
         candidate = b + step[:, None] * direction
@@ -464,9 +474,7 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
             stop = verdict | (taken >= MAX_ITERATIONS)
             continue
         # a probe whose eta is not finite fails its row (NaN refuses it)
-        overflow = np.isnan(c_l)
-        for i in live[overflow]:
-            errors[i] = DomainError(_NOT_FINITE)
+        code[np.isnan(c_l)] = _NOT_FINITE
         stay = ~moved
         candidate[stay], c_l[stay] = b[stay], l[stay]
         for new, old in zip(c_parts, parts):
@@ -474,16 +482,14 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
         b, l, parts = candidate, c_l, c_parts
         taken += moved
         step = np.where(stay, 0.5 * step, 1.0)
-        stop = (overflow | verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
+        stop = ((code > 0) | verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
                 | (taken >= MAX_ITERATIONS))
-    failed = np.array([e is not None for e in errors])
-    coefficients[failed], loglik[failed], converged[failed] = np.nan, np.nan, False
     return StackFit(
         coefficients=coefficients,
         loglik=loglik,
         iterations=iterations,
         converged=converged,
-        errors=tuple(errors),
+        errors=tuple(_failure(c) if c else None for c in failure.tolist()),
     )
 
 

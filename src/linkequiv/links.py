@@ -135,7 +135,9 @@ _QUANTILE = {
 
 
 def _probit_densities(u):
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    # 0.5*u*u overflows past |u| ~ 1.9e154, where exp(-inf) gives the exact 0
+    with np.errstate(over="ignore"):
+        phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
     return phi, -u * phi
 
 
@@ -147,8 +149,12 @@ def _compit_densities(u):
 
 
 def _cauchit_densities(u):
-    s = 1.0 + u * u
-    return 1.0 / (math.pi * s), -2.0 * u / (math.pi * s ** 2)
+    # pi*s**2 overflows past |u| ~ 8.7e76 and pi*s past ~7.6e153: the slope
+    # and then the density come out -0 and 0, the one-line formulas' values
+    # (the true ones underflow only past ~6e107 and ~2.5e161)
+    with np.errstate(over="ignore"):
+        s = 1.0 + u * u
+        return 1.0 / (math.pi * s), -2.0 * u / (math.pi * s ** 2)
 
 
 def _logit_densities(u):

@@ -46,6 +46,11 @@ class TestSharedKernel:
     def test_bad_response_rejected(self):
         with pytest.raises(ArgumentError):
             sample([1.0, 2.0], [1, 2])
+        with pytest.raises(ArgumentError, match="equal length"):
+            sample([1.0, 2.0], [1])
+        for x in ([], [[1.0, 2.0]]):
+            with pytest.raises(ArgumentError, match="non-empty vector"):
+                sample(x, np.ones(np.shape(x)))
 
 
 class TestClosedForms:

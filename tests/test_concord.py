@@ -9,6 +9,8 @@ from linkequiv import (
     ArgumentError,
     Classifier,
     Dataset,
+    DomainError,
+    ExperimentError,
     LinkKind,
     ModelSpec,
     SplitPlan,
@@ -55,6 +57,17 @@ class TestPredictProb:
         with pytest.raises(ArgumentError):
             clf(LinkKind.LOGIT, [])
         assert clf(LinkKind.LOGIT, [], intercept=False).n_features == 0
+        # and the coefficients must be a finite vector
+        with pytest.raises(ArgumentError, match="must be a vector"):
+            clf(LinkKind.LOGIT, [[0.0, 1.0]])
+        with pytest.raises(ArgumentError, match="must be finite"):
+            clf(LinkKind.LOGIT, [0.0, np.inf])
+
+    def test_overflowing_eta_raises_without_a_warning(self):
+        # the suite turns every warning into an error
+        c = clf(LinkKind.LOGIT, [0.0, 1e10, 1e10])
+        with pytest.raises(DomainError):
+            predict_prob(c, [1e300, 1e300])
 
 
 class TestClassify:
@@ -216,6 +229,13 @@ class TestAverageTestError:
             average_test_error(
                 ModelSpec(LinkKind.LOGIT), data, SplitPlan(replications=2, seed=0)
             )
+        # both replicates of this plan put the one positive row in the test
+        # set, so every training fit fails
+        data = Dataset.univariate(np.arange(6.0), [0, 0, 0, 0, 0, 1])
+        with pytest.raises(ExperimentError, match="every replicate failed"):
+            average_test_error(
+                ModelSpec(LinkKind.LOGIT), data, SplitPlan(replications=2, seed=4)
+            )
 
 
 class TestConcordanceRate:
@@ -247,6 +267,12 @@ class TestConcordanceRate:
         b = clf(LinkKind.LOGIT, stream.normal(size=3))
         points = stream.normal(size=(300, 2))
         assert concordance_rate(a, b, points) == concordance_rate(b, a, points)
+
+    @pytest.mark.parametrize("points", [[1.0, 2.0], np.empty((0, 1))], ids=["vector", "empty"])
+    def test_points_must_be_a_non_empty_matrix(self, points):
+        c = clf(LinkKind.LOGIT, [0.0, 1.0])
+        with pytest.raises(ArgumentError, match="non-empty matrix"):
+            concordance_rate(c, c, points)
 
 
 class TestSignDisagreementGrid:
@@ -299,6 +325,8 @@ class TestSignDisagreementGrid:
             sign_disagreement_grid(list(LinkKind), 0.0, 1.0, 2.5)
         with pytest.raises(ArgumentError):
             sign_disagreement_grid(list(LinkKind), -2.0, 2.0, 100, mode="bogus")
+        with pytest.raises(ArgumentError, match="at least one link"):
+            sign_disagreement_grid([], -2.0, 2.0, 100)
         # a < b, but b - a overflows
         for mode in ("equispaced", "uniform_random"):
             with pytest.raises(ArgumentError):

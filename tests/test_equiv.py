@@ -110,6 +110,9 @@ class TestGenerateDataset:
         with pytest.raises(ArgumentError):
             GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.LOGIT,
                       beta0=0.0, beta1=1.0, n=1)
+        with pytest.raises(ArgumentError, match="design must be"):
+            GenConfig(design="gaussian", truth_link=LinkKind.LOGIT,
+                      beta0=0.0, beta1=1.0, n=10)
 
 
 @pytest.mark.parametrize("make", [
@@ -170,6 +173,15 @@ class TestOlsSimple:
     def test_too_short_rejected(self):
         with pytest.raises(ArgumentError):
             ols_simple([1.0, 2.0], [1.0, 2.0])
+        # and unequal, 2-d or non-finite inputs
+        for xs, ys, message in (
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "equal-length vectors"),
+            ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], "equal-length vectors"),
+            ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "must be finite"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, np.inf], "must be finite"),
+        ):
+            with pytest.raises(ArgumentError, match=message):
+                ols_simple(xs, ys)
 
 
 class TestSummarize:
@@ -213,6 +225,9 @@ class TestSummarize:
     def test_length_one_rejected(self):
         with pytest.raises(ArgumentError):
             summarize([1.0])
+        # and a value that is not finite
+        with pytest.raises(ArgumentError, match="must be finite"):
+            summarize([1.0, np.nan, 2.0])
 
 
 class TestStructuralSim:

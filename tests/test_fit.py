@@ -114,10 +114,21 @@ class TestDataset:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ArgumentError):
             Dataset(np.ones((3, 1)), [0, 1])
+        with pytest.raises(ArgumentError, match="one name per predictor"):
+            Dataset(np.ones((2, 2)), [0, 1], ("a",))
+        # and predictors of the wrong shape
+        with pytest.raises(ArgumentError, match="vector or a 2-d matrix"):
+            Dataset(np.ones((2, 1, 1)), [0, 1])
+        with pytest.raises(ArgumentError, match="at least one row"):
+            Dataset(np.ones((0, 1)), [])
 
     def test_default_names(self):
         data = Dataset(np.ones((2, 3)), [0, 1])
         assert data.names == ("x1", "x2", "x3")
+        # a 1-d predictor vector is one column
+        data = Dataset(np.array([0.5, 2.0]), [0, 1])
+        assert data.names == ("x1",)
+        np.testing.assert_array_equal(data.predictors, [[0.5], [2.0]])
 
     def test_intercept_only_has_no_columns(self):
         data = Dataset.intercept_only([0, 1, 1])
@@ -180,6 +191,9 @@ class TestLogLikelihood:
         data = Dataset.univariate([1.0, 2.0], [1, 0])
         with pytest.raises(ArgumentError):
             log_likelihood(ModelSpec(LinkKind.LOGIT, intercept=False), [1.0, 2.0], data)
+        # and coefficients that are not finite
+        with pytest.raises(ArgumentError, match="coefficients must be finite"):
+            log_likelihood(ModelSpec(LinkKind.LOGIT, intercept=False), [np.nan], data)
 
 
 class TestScore:
@@ -545,7 +559,8 @@ class TestFitStack:
         """A stack with an exactly singular row and a non-finite row goes
         through the diagnosis; its healthy rows alone go through the one
         batched solve.  Each healthy row gets the same direction bit for
-        bit, and each failed row its own reason and a NaN direction."""
+        bit, and each failed row the code of its own reason and a NaN
+        direction."""
         rng = substream(308)
         A = rng.normal(size=(5, 3, 3))
         H = A @ np.swapaxes(A, 1, 2)
@@ -553,13 +568,17 @@ class TestFitStack:
         # equal entries this large make the ridge vanish in rounding
         H[1] = 1e10
         H[3, 0, 0] = np.inf
-        direction, failures = fit_module._directions(H, g)
-        assert failures == {1: "information matrix is singular even after ridge damping",
-                            3: "observed information is not finite"}
+        direction, codes = fit_module._directions(H, g)
+        assert np.flatnonzero(codes).tolist() == [1, 3]
+        errors = [fit_module._failure(code) for code in codes[[1, 3]]]
+        assert all(isinstance(e, NumericalError) for e in errors)
+        assert [str(e) for e in errors] == [
+            "information matrix is singular even after ridge damping",
+            "observed information is not finite"]
         assert np.isnan(direction[[1, 3]]).all()
         healthy = [0, 2, 4]
         alone, none = fit_module._directions(H[healthy], g[healthy])
-        assert none == {}
+        assert not none.any()
         np.testing.assert_array_equal(direction[healthy], alone)
 
     def test_mixed_failure_kinds_are_found_in_one_solve(self, monkeypatch):
@@ -575,16 +594,17 @@ class TestFitStack:
         inner = fit_module._directions
 
         def recorded(H, g):
-            direction, failures = inner(H, g)
-            calls.append(dict(failures))
-            return direction, failures
+            direction, codes = inner(H, g)
+            calls.append(codes.copy())
+            return direction, codes
 
         monkeypatch.setattr(fit_module, "_directions", recorded)
         with np.errstate(over="ignore"):
             stack = fit_stack(spec, mixed, Y)
         singular = "information matrix is singular even after ridge damping"
         non_finite = "observed information is not finite"
-        assert calls[0] == {1: singular, 2: non_finite}
+        assert calls[0].tolist() == [0, fit_module._SINGULAR,
+                                     fit_module._INFORMATION_NOT_FINITE, 0]
         assert all(isinstance(stack.errors[i], NumericalError) for i in (1, 2))
         assert [str(e) for e in stack.errors[1:3]] == [singular, non_finite]
         keep = np.array([True, False, False, True])
@@ -620,14 +640,14 @@ class TestFitStack:
         inner_directions = fit_module._directions
 
         def failing(H, g):
-            direction, failures = inner_directions(H, g)
+            direction, codes = inner_directions(H, g)
             log.append(("_directions", None))
             if sum(name == "_directions" for name, _ in log) == 3:
                 signs = [sign for name, sign in log if name == "_derivatives"][-1]
                 pos = int(np.flatnonzero((signs == target).all(axis=1))[0])
                 direction[pos] = np.nan
-                failures[pos] = reason
-            return direction, failures
+                codes[pos] = fit_module._INFORMATION_NOT_FINITE
+            return direction, codes
 
         for name in inner:
             monkeypatch.setattr(fit_module, name, recorded(name))
@@ -692,15 +712,15 @@ class TestFitStack:
             return inner["_derivatives"](link, Xt, sign, parts)
 
         def directions(H, g):
-            direction, failures = inner["_directions"](H, g)
+            direction, codes = inner["_directions"](H, g)
             log["not_uphill"] += int(np.sum(np.sum(g * direction, axis=1) <= 0.0))
             hit = np.flatnonzero((log["signs"] == failing).all(axis=1))
             if hit.size:
                 log["failing"] += 1
                 if log["failing"] == 3:
                     direction[hit[0]] = np.nan
-                    failures[int(hit[0])] = reason
-            return direction, failures
+                    codes[hit[0]] = fit_module._INFORMATION_NOT_FINITE
+            return direction, codes
 
         def solve(i):
             log.update(passes=0, not_uphill=0, failing=0)

@@ -201,7 +201,10 @@ FUNCTIONS = {"cdf": cdf, "density": density, "density_prime": density_prime,
 
 
 def _oracle(name, link, x):
-    out = ORACLE[name][link](np.asarray(x, dtype=float))
+    # the one-line formulas overflow out in the tails; only the package's
+    # own functions must keep their warnings in
+    with np.errstate(all="ignore"):
+        out = ORACLE[name][link](np.asarray(x, dtype=float))
     if name == "cdf":
         out = np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS)
     return out
@@ -238,16 +241,15 @@ class TestMatchesOracleBitForBit:
     def test_array_and_scalar_input(self, name, link):
         fn = FUNCTIONS[name]
         grid = V_GRID if name == "quantile" else U_GRID
-        with np.errstate(all="ignore"):
-            out = fn(link, grid)
-            assert isinstance(out, np.ndarray) and out.shape == grid.shape
-            assert _bits(out) == _bits(_oracle(name, link, grid))
-            block = grid[: grid.size // 2 * 2].reshape(2, -1)
-            assert _bits(fn(link, block)) == _bits(_oracle(name, link, block))
-            for x in grid:
-                value = fn(link, float(x))
-                assert type(value) is float
-                assert _bits(value) == _bits(_oracle(name, link, float(x))), x
+        out = fn(link, grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        assert _bits(out) == _bits(_oracle(name, link, grid))
+        block = grid[: grid.size // 2 * 2].reshape(2, -1)
+        assert _bits(fn(link, block)) == _bits(_oracle(name, link, block))
+        for x in grid:
+            value = fn(link, float(x))
+            assert type(value) is float
+            assert _bits(value) == _bits(_oracle(name, link, float(x))), x
 
 
 def _probit_far(x, y):
