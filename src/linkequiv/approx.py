@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equiv import _scaled
 from .errors import ArgumentError, DegenerateSampleError
 from .fit import _check_entries
 
@@ -56,9 +57,10 @@ class UnivariateSample:
         if y.shape != x.shape:
             raise ArgumentError("x and y must have equal length")
         _check_entries(x, y)
-        # the float check matters: subnormal x can be nonzero while x*x
-        # underflows, leaving the kernel denominator zero
-        if float(np.sum(x * x)) == 0.0:
+        # sum(x^2) is zero exactly when the largest x^2 is: subnormal x can
+        # be nonzero while x*x underflows
+        largest = float(np.max(np.abs(x)))
+        if largest * largest == 0.0:
             raise DegenerateSampleError("sum of squared predictors is zero")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -69,10 +71,12 @@ def shared_kernel(s: UnivariateSample) -> float:
     closed-form estimators.
 
     Evaluated as sum(x*(2y - 1))/sum(x^2), which is the same quantity
-    but makes flipping every y to 1-y negate the result exactly.
+    but makes flipping every y to 1-y negate the result exactly, with x
+    scaled by a power of two (``equiv._scaled``), so that neither sum
+    overflows or underflows.
     """
-    # UnivariateSample has rejected a zero denominator
-    return float(np.sum(s.x * (2.0 * s.y - 1.0))) / float(np.sum(s.x * s.x))
+    x, e = _scaled(s.x)
+    return float(np.ldexp(np.sum(x * (2.0 * s.y - 1.0)) / np.sum(x * x), -e))
 
 
 def beta_cf_logit(s: UnivariateSample) -> float:

@@ -186,9 +186,20 @@ def generate_dataset(cfg: GenConfig, seed: int, replicate: int) -> Dataset:
     return Dataset.univariate(x.reshape(-1), y[0])
 
 
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` times 2^-e, and e, the binary exponent of their largest
+    |value|.  The scaling is exact and puts that value in [0.5, 1), so
+    the sums of products and powers formed from the scaled values neither
+    overflow nor underflow."""
+    e = int(np.frexp(np.max(np.abs(values)))[1])
+    return np.ldexp(values, -e), e
+
+
 def ols_simple(xs, ys) -> OlsLine:
     """Least-squares line of ys on xs with Pearson correlation and
-    r2 = rho^2.  Requires length >= 3 and variation in both variables."""
+    r2 = rho^2.  Requires length >= 3 and variation in both variables.
+    The sums are formed on xs and ys each scaled by a power of two
+    (``_scaled``), so any finite scale gives the same line."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -197,6 +208,7 @@ def ols_simple(xs, ys) -> OlsLine:
         raise ArgumentError("need at least 3 points")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ArgumentError("inputs must be finite")
+    (x, ex), (y, ey) = _scaled(x), _scaled(y)
     xbar = x.mean()
     ybar = y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
@@ -208,7 +220,8 @@ def ols_simple(xs, ys) -> OlsLine:
         raise DegenerateSampleError("ys is constant; correlation undefined")
     theta = sxy / sxx
     rho = sxy / math.sqrt(sxx * syy)
-    return OlsLine(tau=float(ybar - theta * xbar), theta=theta, rho=rho, r2=rho * rho)
+    return OlsLine(tau=float(np.ldexp(ybar - theta * xbar, ey)),
+                   theta=float(np.ldexp(theta, ey - ex)), rho=rho, r2=rho * rho)
 
 
 def _structural_replicate(args) -> tuple[float, float, float, float, int]:
@@ -274,16 +287,19 @@ def summarize(values) -> SummaryStats:
     even length; sd uses the n-1 divisor; skewness and kurtosis use 1/n
     central moments, with kurtosis left non-excess (a normal sample
     scores about 3); cv is 100*sd/mean, reported as NaN when the mean is
-    zero; quartiles interpolate linearly between order statistics.
+    zero; quartiles interpolate linearly between order statistics.  The
+    moments are formed on the values scaled by a power of two
+    (``_scaled``), so any finite scale gives the same statistics.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ArgumentError("need a vector of at least 2 values")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("values must be finite")
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    centered = arr - mean
+    scaled, e = _scaled(arr)
+    mean = float(scaled.mean())
+    sd = float(scaled.std(ddof=1))
+    centered = scaled - mean
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
@@ -297,8 +313,8 @@ def summarize(values) -> SummaryStats:
     q1, q3 = np.quantile(arr, [0.25, 0.75])
     return SummaryStats(
         median=float(np.median(arr)),
-        mean=mean,
-        sd=sd,
+        mean=float(np.ldexp(mean, e)),
+        sd=float(np.ldexp(sd, e)),
         skewness=skewness,
         kurtosis=kurtosis,
         cv=cv,

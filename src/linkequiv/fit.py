@@ -37,17 +37,19 @@ log-likelihood does not fall.  A row also stops at the constant
 ``MAX_ITERATIONS`` iterations.  One batched solve gives the directions
 of every row in a pass; a row whose information is not finite or exactly
 singular, or whose linear predictor is not finite, fails alone.  A row
-whose response takes a single value has no maximum and is refused before
-the loop.  A failure is one integer code per row, whose exception class
-and message ``_FAILURES`` names: the solve and the likelihood pass give
-the codes, the row writes its code out with its other fields where it
-leaves the solver, and ``StackFit.errors`` is built from the codes once,
-at the end.  ``_fit_links`` is the one way into the solver, with the one
-start rule: logit first, each row of a model with an intercept from its
-linear-discriminant estimate (``_discriminant_start``), each probit or
-cauchit row from its factor (``_LOGIT_FACTOR``) times that row's logit
-fit where it converged, every other row from zero.  A start depends only
-on its own row, so a run is reproducible bit for bit.
+whose response takes a single value has no maximum: it enters the solver
+with every other row and leaves at the stop site before its first pass.
+A failure is one integer code per row, whose exception class and message
+``_FAILURES`` names: the solver's entry, the solve and the likelihood
+pass give the codes, the row writes its code out with its other fields
+where it leaves the solver, and ``StackFit.errors`` is built from the
+codes once, at the end.  ``_fit_links`` is the one way into the solver,
+with the one start rule: logit first, each row of a model with an
+intercept from its linear-discriminant estimate
+(``_discriminant_start``), each probit or cauchit row from its factor
+(``_LOGIT_FACTOR``) times that row's logit fit where it converged, every
+other row from zero.  A start depends only on its own row, so a run is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -252,12 +254,6 @@ def _checked_beta(spec: ModelSpec, beta, data: Dataset) -> np.ndarray:
     return b
 
 
-def _transposed(model_matrix: np.ndarray) -> np.ndarray:
-    """The (..., k, n) layout the evaluator works in: its weighted sums
-    then run along contiguous rows."""
-    return np.ascontiguousarray(np.swapaxes(model_matrix, -1, -2))
-
-
 def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarray):
     """Log-likelihood of each row of a stack, and what its derivatives need.
 
@@ -298,12 +294,11 @@ def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tup
 
 
 def _one_row(spec: ModelSpec, beta, data: Dataset):
-    """The transposed model matrix and response signs of one dataset as a
-    one-row stack, and its likelihood pass at ``beta``; raises
-    ``DomainError`` where eta is not finite."""
+    """The transposed model matrix and response signs of one dataset as
+    ``_stack_input`` lays out a one-row stack, and its likelihood pass at
+    ``beta``; raises ``DomainError`` where eta is not finite."""
     b = _checked_beta(spec, beta, data)
-    Xt = _transposed(_model_matrix(data.predictors, spec.intercept))
-    sign = 2.0 * data.response[None] - 1.0
+    _, Xt, sign = _stack_input(spec.intercept, data.predictors, data.response[None])
     with np.errstate(over="ignore", invalid="ignore"):
         ll, parts = _likelihood(spec.link, Xt, sign, b[None])
     if np.isnan(ll[0]):
@@ -383,52 +378,56 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     """The solver behind ``_fit_links``, on a stack that ``_stack_input``
     laid out, from the (S, k) points ``start``.
 
-    The solver's state covers the running rows only: ``live`` maps each
-    position of its arrays to a stack row, and a per-row ``Xt`` and the
-    response signs are cut down with it.  A first likelihood pass
-    evaluates every row at its start, and each row then carries its
-    point, log-likelihood, log terms, line-search step and iteration
-    count, nothing else.  Every pass of the loop turns the log terms of
-    every live row into its score, information, direction and decrement
-    verdict, and probes every live row at its own step in one likelihood
-    pass.  The probe's arrays become the state, and the rows that did not
-    take their probe copy their old point, log-likelihood and log terms
-    back bit for bit, so no point is evaluated twice and the next pass
-    gives such a row the same direction and verdict again.  A row's step
-    is 1 after an accepted probe and halves after a refused one.  A row
-    stops after the probe of its decrement-rule pass, after an accepted
-    probe that moves no coefficient, when its halvings run out or at
-    ``MAX_ITERATIONS`` iterations: at the top of the next pass it writes
-    its outcome into the stack and leaves the state, and is not evaluated
-    again.  A row fails with the code that ``_directions`` gives it, or
-    with ``_NOT_FINITE`` where its linear predictor is not finite at its
-    start or at a probe (``_likelihood`` gives it a NaN log-likelihood);
-    a row failed by ``_directions`` probes its own point with a zero
-    direction.  A failed row stops after that probe, before its first
-    pass if its start overflows, and the one stop site writes its code
-    with NaN numeric fields; ``StackFit.errors`` is built from the codes
-    at return.  Rows never wait for each other, so the stack makes as
-    many likelihood passes as its slowest row would alone.  In the usual
-    pass every row's Newton direction points uphill and every row takes
-    its probe; such a pass does no more than that, and the gradient
-    fallback, the failure codes of probes and the copying back of refused
-    rows run only in a pass where some row needs them.
+    Every row of the stack enters the solver's state, which then covers
+    the running rows only: ``live`` maps each position of its arrays to a
+    stack row, and a per-row ``Xt`` and the response signs are cut down
+    with it.  A first likelihood pass evaluates every row at its start,
+    and each row then carries its point, log-likelihood, log terms,
+    line-search step and iteration count, nothing else.  Every pass of the
+    loop turns the log terms of every live row into its score,
+    information, direction and decrement verdict, and probes every live
+    row at its own step in one likelihood pass.  The probe's arrays become
+    the state, and the rows that did not take their probe copy their old
+    point, log-likelihood and log terms back bit for bit, so no point is
+    evaluated twice and the next pass gives such a row the same direction
+    and verdict again.  A row's step is 1 after an accepted probe and
+    halves after a refused one.  A row stops after the probe of its
+    decrement-rule pass, after an accepted probe that moves no
+    coefficient, when its halvings run out or at ``MAX_ITERATIONS``
+    iterations: at the top of the next pass it writes its outcome into the
+    stack and leaves the state, and is not evaluated again.  A row fails
+    with ``_SINGLE_VALUED`` where ``_stack_input`` marks its response
+    single-valued, with the code that ``_directions`` gives it, or with
+    ``_NOT_FINITE`` where its linear predictor is not finite at its start
+    or at a probe (``_likelihood`` gives it a NaN log-likelihood); at
+    entry ``_SINGLE_VALUED`` takes precedence.  A row failed by
+    ``_directions`` probes its own point with a zero direction.  A failed
+    row stops after that probe, before its first pass if it fails at
+    entry, and the one stop site writes its code with NaN numeric fields;
+    ``StackFit.errors`` is built from the codes at return.  Rows never
+    wait for each other, so the stack makes as many likelihood passes as
+    its slowest row would alone.  In the usual pass every row's Newton
+    direction points uphill and every row takes its probe; such a pass
+    does no more than that, and the gradient fallback, the failure codes
+    of probes and the copying back of refused rows run only in a pass
+    where some row needs them.
     """
-    refused, live, X, s = stack
-    S, k = refused.size, X.shape[-2]
-    failure = np.where(refused, _SINGLE_VALUED, 0)
+    single, X, s = stack
+    S, k = single.size, X.shape[-2]
+    failure = np.zeros(S, dtype=int)
     coefficients = np.full((S, k), np.nan)
     loglik = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    b = start[live]
+    live, b = np.arange(S), start
     l, parts = _likelihood(link, X, s, b)
-    step = np.ones(live.size)
-    taken = np.zeros(live.size, dtype=int)
-    # a row whose start overflows stops before its first pass
-    code = np.where(np.isnan(l), _NOT_FINITE, 0)
+    step = np.ones(S)
+    taken = np.zeros(S, dtype=int)
+    # a single-valued row, and a row whose start overflows, stops before
+    # its first pass
+    code = np.where(single, _SINGLE_VALUED, np.where(np.isnan(l), _NOT_FINITE, 0))
     stop = code > 0
-    verdict = np.zeros(live.size, dtype=bool)
+    verdict = np.zeros(S, dtype=bool)
     while True:
         if stop.any():
             # the one place a row leaves: a failed row's numeric fields are NaN
@@ -512,10 +511,11 @@ def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
 
 def _stack_input(intercept: bool, predictors, responses) -> tuple:
     """A stack as ``_newton`` takes it, once ``fit_stack``'s checks pass:
-    the mask of the S rows it refuses, those whose response takes a single
-    value in a model with any coefficient, the indices ``live`` of the
-    others, and their transposed model matrix, shared (k, n) or one
-    (k, n) per live row, and (live, n) response signs 2y - 1."""
+    ``(single, Xt, sign)`` over all S rows, where ``single`` masks the rows
+    whose response takes a single value in a model with any coefficient
+    (they enter the solver and leave at its stop site before the first
+    pass), ``Xt`` is the transposed model matrix, shared (k, n) or one
+    (k, n) per row, and ``sign`` the (S, n) response signs 2y - 1."""
     Y = np.asarray(responses, dtype=float)
     P = np.asarray(predictors, dtype=float)
     if Y.ndim != 2 or Y.size == 0:
@@ -525,24 +525,25 @@ def _stack_input(intercept: bool, predictors, responses) -> tuple:
     ):
         raise ArgumentError("predictors must be (n, p) or (S, n, p) to match (S, n) responses")
     _check_entries(P, Y)
-    Xt = _transposed(_model_matrix(P, intercept))
-    refused = (Y.all(axis=1) | ~Y.any(axis=1)) & (Xt.shape[-2] > 0)
-    live = np.flatnonzero(~refused)
-    return refused, live, Xt if Xt.ndim == 2 else Xt[live], 2.0 * Y[live] - 1.0
+    # the evaluator's weighted sums run along the contiguous rows of Xt
+    Xt = np.ascontiguousarray(np.swapaxes(_model_matrix(P, intercept), -1, -2))
+    single = (Y.all(axis=1) | ~Y.any(axis=1)) & (Xt.shape[-2] > 0)
+    return single, Xt, 2.0 * Y - 1.0
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _discriminant_start(Xt: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """The linear-discriminant estimate of the logit coefficients, (S, k),
     of each row of a stack whose transposed model matrix ``Xt`` has the
-    intercept row first and whose (S, n) response signs 2y - 1 hold both
-    classes.  With class means mu0 and mu1 of the predictors and their
-    within-class covariance Sw, pooled over n - 2, the slope is
-    Sw^-1 (mu1 - mu0) and the intercept log(n1) - log(n0) - (mu1 +
-    mu0)'slope/2.  That is the logistic MLE when each class is normal with
-    a shared covariance (Efron 1975, JASA 70), and with no predictors it
-    is the MLE log(n1/n0).  A row whose Sw is singular, or whose estimate
-    is not finite, gets zero.  Each row is summed along its own elements
+    intercept row first, from its (S, n) response signs 2y - 1.  With
+    class means mu0 and mu1 of the predictors and their within-class
+    covariance Sw, pooled over n - 2, the slope is Sw^-1 (mu1 - mu0) and
+    the intercept log(n1) - log(n0) - (mu1 + mu0)'slope/2.  That is the
+    logistic MLE when each class is normal with a shared covariance (Efron
+    1975, JASA 70), and with no predictors it is the MLE log(n1/n0).  A
+    row whose Sw is singular, or whose estimate is not finite, gets zero;
+    so does a single-class row, which then leaves the solver at its stop
+    site before the first pass.  Each row is summed along its own elements
     and solved alone, so its start is the same bits whether it is
     computed alone or in a stack."""
     one = (sign > 0.0)[:, None, :]
@@ -577,14 +578,13 @@ def _fit_links(links, intercept: bool, predictors, responses) -> dict[LinkKind, 
     converged.  Every other row starts at zero.  A start depends only on
     its own row, so blocking does not change any fit."""
     stack = _stack_input(intercept, predictors, responses)
-    refused, live, Xt, sign = stack
-    S, k = refused.size, Xt.shape[-2]
+    _, Xt, sign = stack
     fits: dict[LinkKind, StackFit] = {}
     for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
-        start = np.zeros((S, k))
+        start = np.zeros((sign.shape[0], Xt.shape[-2]))
         logit = fits.get(LinkKind.LOGIT)
         if link is LinkKind.LOGIT and intercept:
-            start[live] = _discriminant_start(Xt, sign)
+            start = _discriminant_start(Xt, sign)
         elif logit is not None and link in _LOGIT_FACTOR:
             # a converged row's coefficients are finite; a failed row's are
             # NaN, and it is not converged

@@ -151,10 +151,11 @@ def _compit_densities(u):
 def _cauchit_densities(u):
     # pi*s**2 overflows past |u| ~ 8.7e76 and pi*s past ~7.6e153: the slope
     # and then the density come out -0 and 0, the one-line formulas' values
-    # (the true ones underflow only past ~6e107 and ~2.5e161)
+    # (the true ones underflow only past ~6e107 and ~2.5e161); -2u itself
+    # overflows past ~9e307, so u is capped where the slope is +-0 already
     with np.errstate(over="ignore"):
         s = 1.0 + u * u
-        return 1.0 / (math.pi * s), -2.0 * u / (math.pi * s ** 2)
+        return 1.0 / (math.pi * s), -2.0 * np.clip(u, -1e300, 1e300) / (math.pi * s ** 2)
 
 
 def _logit_densities(u):

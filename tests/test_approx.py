@@ -38,10 +38,17 @@ class TestSharedKernel:
             0.0, abs=1e-15
         )
         assert shared_kernel(sample([2.0], [1])) == pytest.approx(0.5, abs=1e-15)
+        # x whose squares overflow: 3e200 / 5e400
+        assert shared_kernel(sample([1e200, -2e200], [1, 0])) == pytest.approx(
+            6e-201, abs=0.0, rel=1e-15
+        )
 
     def test_all_zero_x_rejected(self):
         with pytest.raises(DegenerateSampleError):
             sample([0.0, 0.0], [1, 0])
+        # and nonzero x whose every square underflows
+        with pytest.raises(DegenerateSampleError):
+            sample([1e-200, -1e-200], [1, 0])
 
     def test_bad_response_rejected(self):
         with pytest.raises(ArgumentError):

@@ -152,6 +152,12 @@ class TestOlsSimple:
         out = ols_simple([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
         assert out.theta == pytest.approx(2.5, abs=1e-12)
         assert out.tau == pytest.approx(-2.0 / 3.0, abs=1e-12)
+        # xs far from unit scale, whose squares overflow or underflow
+        for scale in (1e200, 1e-170):
+            far = ols_simple([scale, 2.0 * scale, 3.0 * scale], [2.0, 4.0, 7.0])
+            assert far.theta == pytest.approx(2.5 / scale, abs=0.0, rel=1e-12)
+            assert far.tau == pytest.approx(-2.0 / 3.0, abs=1e-12)
+            assert far.rho == pytest.approx(out.rho, abs=1e-15)
 
     def test_proportional_probit_logit_slopes(self):
         # if probit estimates were exactly sqrt(pi/8) times the logit
@@ -210,6 +216,14 @@ class TestSummarize:
                     assert math.isnan(got[field])
                 else:
                     assert got[field] == pytest.approx(target, abs=1e-10, rel=1e-10)
+        # far from unit scale the moments neither overflow nor underflow:
+        # the fields in the values' unit scale with them, the others not
+        for scale, base in ((1e200, [1.0, -1.0, 3.0]), (1e-90, [1.0, 2.0, 4.0])):
+            got = summarize([scale * b for b in base]).as_dict()
+            for field, target in naive_summary(base).items():
+                if field not in ("skewness", "kurtosis", "cv"):
+                    target *= scale
+                assert got[field] == pytest.approx(target, abs=0.0, rel=1e-12)
 
     def test_normal_sample_kurtosis_is_three(self):
         # the non-excess convention: a large normal sample scores ~3
@@ -448,14 +462,14 @@ def loop_reference(data, links, plan, intercept):
     for r in range(plan.replications):
         train, test = split(data, plan, r)
         stack = fit_module._stack_input(intercept, train.predictors, train.response[None])
-        _, live, Xt, sign = stack
+        _, Xt, sign = stack
         logit = None
         for link in sorted(links, key=lambda link: link is not LinkKind.LOGIT):
             j = links.index(link)
             spec = ModelSpec(link, intercept=intercept)
             k = spec.coefficient_count(train.p)
             start = np.zeros(k)
-            if link is LinkKind.LOGIT and intercept and live.size:
+            if link is LinkKind.LOGIT and intercept:
                 start = fit_module._discriminant_start(Xt, sign)[0]
             if link in LOGIT_FACTORS and logit is not None and logit.converged[0]:
                 start = LOGIT_FACTORS[link] * logit.coefficients[0]

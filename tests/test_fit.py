@@ -72,7 +72,7 @@ def solver_start(spec, data):
     zero otherwise."""
     if spec.link is LinkKind.LOGIT and spec.intercept:
         stack = fit_module._stack_input(True, data.predictors, data.response[None])
-        return fit_module._discriminant_start(*stack[2:])[0]
+        return fit_module._discriminant_start(*stack[1:])[0]
     return np.zeros(spec.coefficient_count(data.p))
 
 
@@ -465,17 +465,25 @@ class TestFitStack:
                 assert stack.loglik[r] == pytest.approx(single.loglik, abs=1e-9)
 
     def test_single_valued_row_is_dropped_alone(self):
-        spec, P, Y = random_stack(substream(302), LinkKind.PROBIT, S=5)
-        base = fit_stack(spec, P, Y)
-        bad = Y.copy()
-        bad[2] = 1.0
-        stack = fit_stack(spec, P, bad)
-        assert isinstance(stack.errors[2], SeparationError)
-        assert np.all(np.isnan(stack.coefficients[2]))
-        np.testing.assert_array_equal(stack.ok, [True, True, False, True, True])
-        keep = stack.ok
-        np.testing.assert_array_equal(stack.coefficients[keep], base.coefficients[keep])
-        np.testing.assert_array_equal(stack.loglik[keep], base.loglik[keep])
+        """Under every link, over a shared (n, p) matrix and over one
+        matrix per row, the single-valued row enters the solver with the
+        others and leaves before its first pass, and the kept rows end
+        where they end without it."""
+        for link in ALL_LINKS:
+            for shared in (True, False):
+                spec, P, Y = random_stack(substream(302), link, S=5, shared=shared)
+                base = fit_stack(spec, P, Y)
+                bad = Y.copy()
+                bad[2] = 1.0
+                stack = fit_stack(spec, P, bad)
+                assert isinstance(stack.errors[2], SeparationError)
+                assert np.all(np.isnan(stack.coefficients[2]))
+                assert stack.iterations[2] == 0 and not stack.converged[2]
+                np.testing.assert_array_equal(stack.ok, [True, True, False, True, True])
+                keep = stack.ok
+                for field in ("coefficients", "loglik", "iterations", "converged"):
+                    np.testing.assert_array_equal(getattr(stack, field)[keep],
+                                                  getattr(base, field)[keep])
 
     @pytest.mark.parametrize("link", ALL_LINKS)
     def test_single_class_intercept_only_row_is_dropped_alone(self, link):
@@ -1017,7 +1025,7 @@ class TestDiscriminantStart:
     def test_matches_the_pooled_covariance_formula(self, shared, p):
         _, P, Y = random_stack(substream(330, p, int(shared)), LinkKind.LOGIT,
                                p=p, shared=shared)
-        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[2:])
+        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[1:])
         assert start.shape == (Y.shape[0], p + 1)
         for i in range(Y.shape[0]):
             want = self.pooled_formula(P if shared else P[i], Y[i])
@@ -1026,14 +1034,17 @@ class TestDiscriminantStart:
     def test_rows_start_alike_alone_and_in_a_stack(self):
         """A row's start has the same bits in a stack as alone; a row whose
         pooled covariance is singular (its two columns equal) starts at
-        zero."""
+        zero, and so do an all-0 and an all-1 row."""
         _, P, Y = random_stack(substream(331), LinkKind.LOGIT, shared=False)
         P[2, :, 1] = P[2, :, 0]
-        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[2:])
-        np.testing.assert_array_equal(start[2], 0.0)
-        assert np.all(np.delete(start, 2, axis=0) != 0.0)
+        P = np.concatenate([P, P[:2]])
+        Y = np.concatenate([Y, np.zeros((1, Y.shape[1])), np.ones((1, Y.shape[1]))])
+        start = fit_module._discriminant_start(*fit_module._stack_input(True, P, Y)[1:])
+        zero = [2, Y.shape[0] - 2, Y.shape[0] - 1]
+        np.testing.assert_array_equal(start[zero], 0.0)
+        assert np.all(np.delete(start, zero, axis=0) != 0.0)
         for i in range(Y.shape[0]):
-            alone = fit_module._stack_input(True, P[i], Y[i:i + 1])[2:]
+            alone = fit_module._stack_input(True, P[i], Y[i:i + 1])[1:]
             np.testing.assert_array_equal(fit_module._discriminant_start(*alone)[0], start[i])
 
     @pytest.mark.parametrize("p", [0, 1, 3])
@@ -1042,7 +1053,7 @@ class TestDiscriminantStart:
         unbalanced classes included."""
         _, P, Y = random_stack(substream(332, p), LinkKind.LOGIT, p=p, shared=False)
         assert np.any(Y.sum(axis=1) != Y.shape[1] / 2)
-        Xt, sign = fit_module._stack_input(True, P, Y)[2:]
+        Xt, sign = fit_module._stack_input(True, P, Y)[1:]
         start = fit_module._discriminant_start(Xt, sign)
         assert np.all(start != 0.0)
         np.testing.assert_array_equal(fit_module._discriminant_start(Xt, -sign), -start)
@@ -1055,7 +1066,7 @@ class TestDiscriminantStart:
         for i, ones in enumerate((1, 5, 9)):
             Y[i, :ones] = 1.0
         start = fit_module._discriminant_start(
-            *fit_module._stack_input(True, np.empty((12, 0)), Y)[2:])
+            *fit_module._stack_input(True, np.empty((12, 0)), Y)[1:])
         np.testing.assert_array_equal(start[:, 0], [math.log(1) - math.log(11),
                                                     math.log(5) - math.log(7),
                                                     math.log(9) - math.log(3)])

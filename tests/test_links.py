@@ -117,6 +117,11 @@ class TestDensity:
         # the constant 0.31831 ~ 1/pi that scales the cauchit expansion
         assert density(LinkKind.CAUCHIT, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
         assert density(LinkKind.CAUCHIT, 0.0) == pytest.approx(0.31831, abs=5e-6)
+        # far out, where -2u overflows, the slope -2/(pi u^3) underflows to
+        # a zero with the sign of -u
+        for u in (1e308, np.finfo(float).max, -1e308, -np.finfo(float).max):
+            slope = density_prime(LinkKind.CAUCHIT, u)
+            assert slope == 0.0 and math.copysign(1.0, slope) == -math.copysign(1.0, u)
 
     def test_probit_at_zero(self):
         assert density(LinkKind.PROBIT, 0.0) == pytest.approx(
