@@ -310,18 +310,32 @@ def summarize(values) -> SummaryStats:
         skewness = float("nan")
         kurtosis = float("nan")
     cv = 100.0 * sd / mean if mean != 0.0 else float("nan")
-    q1, q3 = np.quantile(arr, [0.25, 0.75])
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = _median_iqr(arr)
+        if not np.isfinite(order).all():
+            # the median and quartiles interpolate between order
+            # statistics, which can overflow near the double limit;
+            # scaling by 2 commutes with rounding outside the subnormal
+            # range, so they are taken on the values halved and doubled
+            order = np.where(np.isfinite(order), order, 2.0 * _median_iqr(0.5 * arr))
+    median, iqr = order
     return SummaryStats(
-        median=float(np.median(arr)),
+        median=float(median),
         mean=float(np.ldexp(mean, e)),
         sd=float(np.ldexp(sd, e)),
         skewness=skewness,
         kurtosis=kurtosis,
         cv=cv,
-        iqr=float(q3 - q1),
+        iqr=float(iqr),
         min=float(arr.min()),
         max=float(arr.max()),
     )
+
+
+def _median_iqr(arr: np.ndarray) -> np.ndarray:
+    """The median and interquartile range q3 - q1 of a vector."""
+    q1, q3 = np.quantile(arr, [0.25, 0.75])
+    return np.array([np.median(arr), q3 - q1])
 
 
 def _summary_pass(data: Dataset, links: tuple, plan: SplitPlan, jobs: int) -> tuple:

@@ -34,16 +34,18 @@ the decrement, and unlike the score, the decrement does not change when
 a predictor is rescaled (Boyd and Vandenberghe, Convex Optimization,
 9.5).  That pass's full step is the row's last, taken only if the
 log-likelihood does not fall.  A row also stops at the constant
-``MAX_ITERATIONS`` iterations.  One batched solve gives the directions
+``MAX_ITERATIONS`` iterations, or when ``MAX_HALVINGS`` halvings of its
+step leave it where it was.  One batched solve gives the directions
 of every row in a pass; a row whose information is not finite or exactly
 singular, or whose linear predictor is not finite, fails alone.  A row
 whose response takes a single value has no maximum: it enters the solver
 with every other row and leaves at the stop site before its first pass.
-A failure is one integer code per row, whose exception class and message
-``_FAILURES`` names: the solver's entry, the solve and the likelihood
-pass give the codes, the row writes its code out with its other fields
-where it leaves the solver, and ``StackFit.errors`` is built from the
-codes once, at the end.  ``_fit_links`` is the one way into the solver,
+A row leaves the solver at one stop site with one integer code, its
+``StackFit.stop``: ``_DECREMENT``, ``_CAP``, ``_HALVINGS``, or a
+failure code, whose exception class and message ``_FAILURES`` names and
+which the solver's entry, the solve and the likelihood pass give.
+``StackFit.converged``, ``ok`` and ``errors`` are read from the codes.
+``_fit_links`` is the one way into the solver,
 with the one start rule: logit first, each row of a model with an
 intercept from its linear-discriminant estimate
 (``_discriminant_start``), each probit or cauchit row from its factor
@@ -89,9 +91,13 @@ RIDGE = 1e-10
 # look separable
 SEPARATION_BOUND = 30.0
 
-# A row that fails is recorded as one code, 0 for a row that did not;
-# ``_FAILURES`` names the exception class and message of each code.
+# How a row leaves the solver, one code per row (``StackFit.stop``): a
+# failure, whose exception class and message ``_FAILURES`` names, or, from
+# ``_DECREMENT`` up, a fitted row's stop by the decrement rule, at
+# ``MAX_ITERATIONS`` or when its step halvings run out.  Inside the solver
+# 0 marks a row that has not failed.
 _SINGLE_VALUED, _NOT_FINITE, _INFORMATION_NOT_FINITE, _SINGULAR = 1, 2, 3, 4
+_DECREMENT, _CAP, _HALVINGS = 5, 6, 7
 _FAILURES = {
     _SINGLE_VALUED: (SeparationError, "response takes a single value; coefficients diverge"),
     _NOT_FINITE: (DomainError, "linear predictor must be finite"),
@@ -202,21 +208,32 @@ class FitResult:
 @dataclass(frozen=True)
 class StackFit:
     """Per-row outcome of a stacked solve over S datasets: coefficients
-    (S, k), and log-likelihood, iterations and convergence verdict (the
-    Newton decrement rule) of shape (S,).  ``errors[i]`` holds the
-    exception that stopped row i, whose numeric fields are then NaN, or
-    None."""
+    (S, k), and log-likelihood, iterations and stop code of shape (S,).
+    ``stop[i]`` says how row i left the solver: ``_DECREMENT`` (the
+    Newton decrement rule), ``_CAP`` (``MAX_ITERATIONS``), ``_HALVINGS``
+    (its step halvings ran out) or a failure code of ``_FAILURES``, which
+    leaves the row's numeric fields NaN.  ``converged``, ``ok`` and
+    ``errors`` are read from it."""
 
     coefficients: np.ndarray
     loglik: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
-    errors: tuple[LinkEquivError | None, ...]
+    stop: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Mask of the rows that stopped by the decrement rule."""
+        return self.stop == _DECREMENT
 
     @property
     def ok(self) -> np.ndarray:
-        """Mask of the rows that were fitted."""
-        return np.array([e is None for e in self.errors], dtype=bool)
+        """Mask of the rows that were fitted: their codes are not failures."""
+        return self.stop >= _DECREMENT
+
+    @property
+    def errors(self) -> tuple[LinkEquivError | None, ...]:
+        """The exception that stopped each row, or None."""
+        return tuple(_failure(c) if c in _FAILURES else None for c in self.stop.tolist())
 
 
 def _failure(code: int) -> LinkEquivError:
@@ -391,11 +408,12 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     point, log-likelihood and log terms back bit for bit, so no point is
     evaluated twice and the next pass gives such a row the same direction
     and verdict again.  A row's step is 1 after an accepted probe and
-    halves after a refused one.  A row stops after the probe of its
-    decrement-rule pass, after an accepted probe that moves no
-    coefficient, when its halvings run out or at ``MAX_ITERATIONS``
-    iterations: at the top of the next pass it writes its outcome into the
-    stack and leaves the state, and is not evaluated again.  A row fails
+    halves after a refused one; a probe that moves no coefficient is
+    refused.  A row stops after the probe of its decrement-rule pass
+    (``_DECREMENT``), at ``MAX_ITERATIONS`` iterations (``_CAP``) or when
+    its halvings run out (``_HALVINGS``): at the top of the next pass it
+    writes its fields and its stop code into the stack and leaves the
+    state, and is not evaluated again.  A row fails
     with ``_SINGLE_VALUED`` where ``_stack_input`` marks its response
     single-valued, with the code that ``_directions`` gives it, or with
     ``_NOT_FINITE`` where its linear predictor is not finite at its start
@@ -403,8 +421,9 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     entry ``_SINGLE_VALUED`` takes precedence.  A row failed by
     ``_directions`` probes its own point with a zero direction.  A failed
     row stops after that probe, before its first pass if it fails at
-    entry, and the one stop site writes its code with NaN numeric fields;
-    ``StackFit.errors`` is built from the codes at return.  Rows never
+    entry, and the one stop site writes its failure code with NaN numeric
+    fields.  A failure code takes precedence over the decrement rule, the
+    rule over the cap, and the cap over the halvings.  Rows never
     wait for each other, so the stack makes as many likelihood passes as
     its slowest row would alone.  In the usual pass every row's Newton
     direction points uphill and every row takes its probe; such a pass
@@ -414,11 +433,10 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     """
     single, X, s = stack
     S, k = single.size, X.shape[-2]
-    failure = np.zeros(S, dtype=int)
     coefficients = np.full((S, k), np.nan)
     loglik = np.full(S, np.nan)
     iterations = np.zeros(S, dtype=int)
-    converged = np.zeros(S, dtype=bool)
+    outcome = np.zeros(S, dtype=int)
     live, b = np.arange(S), start
     l, parts = _likelihood(link, X, s, b)
     step = np.ones(S)
@@ -430,12 +448,16 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
     verdict = np.zeros(S, dtype=bool)
     while True:
         if stop.any():
-            # the one place a row leaves: a failed row's numeric fields are NaN
-            rows, ok = live[stop], code[stop] == 0
+            # the one place a row leaves, with its stop code: a failure
+            # first, then the decrement rule, the cap and the halvings; a
+            # failed row's numeric fields are NaN
+            rows, failed = live[stop], code[stop]
+            ok = failed == 0
             coefficients[rows] = np.where(ok[:, None], b[stop], np.nan)
             loglik[rows] = np.where(ok, l[stop], np.nan)
-            iterations[rows], converged[rows] = taken[stop], verdict[stop] & ok
-            failure[rows] = code[stop]
+            iterations[rows] = taken[stop]
+            fitted = np.where(taken[stop] >= MAX_ITERATIONS, _CAP, _HALVINGS)
+            outcome[rows] = np.where(ok, np.where(verdict[stop], _DECREMENT, fitted), failed)
             keep = ~stop
             live, s, b, l, step, taken = (state[keep] for state in (live, s, b, l, step, taken))
             parts = [part[keep] for part in parts]
@@ -461,10 +483,10 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
         candidate = b + step[:, None] * direction
         c_l, c_parts = _likelihood(link, X, s, candidate)
         # ties are accepted: near the optimum the true gain rounds below
-        # the float resolution of the log-likelihood; an accepted step that
-        # moves no coefficient is a stall
-        accepted = c_l >= l
-        moved = accepted & (candidate != b).any(axis=1)
+        # the float resolution of the log-likelihood.  A probe that moves
+        # no coefficient is refused; rounding is monotone, so no shorter
+        # step moves the row either, and it stops when its halvings run out
+        moved = (c_l >= l) & (candidate != b).any(axis=1)
         if moved.all():
             # the usual pass: every row takes its probe
             b, l, parts = candidate, c_l, c_parts
@@ -481,15 +503,8 @@ def _newton(link: LinkKind, stack: tuple, start: np.ndarray) -> StackFit:
         b, l, parts = candidate, c_l, c_parts
         taken += moved
         step = np.where(stay, 0.5 * step, 1.0)
-        stop = ((code > 0) | verdict | (stay & (accepted | (step < 0.5 ** MAX_HALVINGS)))
-                | (taken >= MAX_ITERATIONS))
-    return StackFit(
-        coefficients=coefficients,
-        loglik=loglik,
-        iterations=iterations,
-        converged=converged,
-        errors=tuple(_failure(c) if c else None for c in failure.tolist()),
-    )
+        stop = (code > 0) | verdict | (step < 0.5 ** MAX_HALVINGS) | (taken >= MAX_ITERATIONS)
+    return StackFit(coefficients=coefficients, loglik=loglik, iterations=iterations, stop=outcome)
 
 
 def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
@@ -498,12 +513,14 @@ def fit_stack(spec: ModelSpec, predictors, responses) -> StackFit:
     ``responses`` is an (S, n) array of 0/1 rows; ``predictors`` is an
     (n, p) matrix shared by every row or an (S, n, p) stack, one matrix
     per row.  Row i starts by the rule of ``_fit_links`` and ends where
-    ``fit_mle`` ends on dataset i, for every link.  It has converged when
-    its Newton decrement fell in [0, ``SOLVER_TOL``], and stops at
-    ``MAX_ITERATIONS`` iterations at the latest.  A row whose fit fails
-    (single-valued response in a model with any coefficient, information
-    not finite or exactly singular, a linear predictor that is not finite
-    at its start or at a probe) gets NaN fields and its exception in
+    ``fit_mle`` ends on dataset i, for every link.  ``StackFit.stop[i]``
+    says how it ended: ``_DECREMENT`` when its Newton decrement fell in
+    [0, ``SOLVER_TOL``] (it has converged), ``_CAP`` at
+    ``MAX_ITERATIONS`` iterations, ``_HALVINGS`` when its step halvings
+    ran out, or the failure code of a fit that fails (single-valued
+    response in a model with any coefficient, information not finite or
+    exactly singular, a linear predictor that is not finite at its start
+    or at a probe).  A failed row gets NaN fields and its exception in
     ``StackFit.errors``; the other rows are unaffected.
     """
     return _fit_links((spec.link,), spec.intercept, predictors, responses)[spec.link]
@@ -605,34 +622,34 @@ def _separation_suspected(spec: ModelSpec, beta: np.ndarray, data: Dataset) -> b
 def fit_mle(spec: ModelSpec, data: Dataset) -> FitResult:
     """Maximize the log-likelihood and return the stationary point.
 
-    This is ``fit_stack`` on the single response row.  Convergence is
-    declared when the Newton decrement g'd drops to ``SOLVER_TOL``.
-    Identical inputs produce bit-identical coefficients.  A
-    suspected-separation condition, or a fit that reaches
-    ``MAX_ITERATIONS`` unconverged, is reported through
+    This is ``fit_stack`` on the single response row, read from its stop
+    code.  Convergence (``_DECREMENT``) is declared when the Newton
+    decrement g'd drops to ``SOLVER_TOL``.  Identical inputs produce
+    bit-identical coefficients.  A suspected-separation condition, or a
+    fit that stops at ``MAX_ITERATIONS`` (``_CAP``), is reported through
     ``FitResult.warnings`` rather than by aborting, so replication
-    harnesses survive pathological resamples.
+    harnesses survive pathological resamples; a fit whose halvings ran
+    out (``_HALVINGS``) is unconverged with no warning.
 
-    Raises ``SeparationError`` when a model with any coefficient sees a
-    single-valued response, ``NumericalError`` when the damped
-    information matrix is not finite or is exactly singular, and
-    ``DomainError`` when a probe's linear predictor is not finite.
+    A failure code raises its exception: ``SeparationError`` when a
+    model with any coefficient sees a single-valued response,
+    ``NumericalError`` when the damped information matrix is not finite
+    or is exactly singular, and ``DomainError`` when a probe's linear
+    predictor is not finite.
     """
     return _fit_result(spec, fit_stack(spec, data.predictors, data.response[None]), data)
 
 
 def _fit_result(spec: ModelSpec, fit: StackFit, data: Dataset) -> FitResult:
     """The ``FitResult`` of a one-row ``StackFit`` of ``data`` under
-    ``spec``, with its warnings; raises the row's error if it failed."""
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
+    ``spec``, with its warnings, read from the row's stop code; raises the
+    row's error if it failed."""
+    code = int(fit.stop[0])
+    if code in _FAILURES:
+        raise _failure(code)
     beta = fit.coefficients[0]
     ll = float(fit.loglik[0])
-    iterations = int(fit.iterations[0])
-    converged = bool(fit.converged[0])
-    warnings = []
-    if iterations >= MAX_ITERATIONS and not converged:
-        warnings.append(WARN_MAX_ITERATIONS)
+    warnings = [WARN_MAX_ITERATIONS] if code == _CAP else []
     if _separation_suspected(spec, beta, data):
         warnings.append(WARN_SEPARATION)
     aic, bic = _aic_bic(ll, beta.size, data.n)
@@ -641,8 +658,8 @@ def _fit_result(spec: ModelSpec, fit: StackFit, data: Dataset) -> FitResult:
         loglik=ll,
         aic=aic,
         bic=bic,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(fit.iterations[0]),
+        converged=code == _DECREMENT,
         warnings=tuple(warnings),
         n_obs=data.n,
     )

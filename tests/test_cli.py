@@ -244,6 +244,12 @@ class TestFit:
         assert lines and all(line.startswith("note: ") for line in lines)
         assert "note: logit: separation_suspected" in lines
         assert "note: cauchit: max_iterations_reached" in lines
+        # the links noted as capped are those whose row stops at the cap
+        x = np.arange(6.0)
+        fits = fit_module._fit_links(list(LinkKind), True, x[:, None], (x >= 3.0)[None])
+        for link, stack in fits.items():
+            capped = stack.stop[0] == fit_module._CAP
+            assert (f"note: {link.value}: max_iterations_reached" in lines) == capped
 
     def test_missing_value_aborts(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"

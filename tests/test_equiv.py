@@ -1,6 +1,7 @@
 """Generators, OLS, summaries and the two replication harnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,10 +217,14 @@ class TestSummarize:
                     assert math.isnan(got[field])
                 else:
                     assert got[field] == pytest.approx(target, abs=1e-10, rel=1e-10)
-        # far from unit scale the moments neither overflow nor underflow:
+        # far from unit scale the moments neither overflow nor underflow,
+        # and near the double limit neither do the median and quartiles:
         # the fields in the values' unit scale with them, the others not
-        for scale, base in ((1e200, [1.0, -1.0, 3.0]), (1e-90, [1.0, 2.0, 4.0])):
-            got = summarize([scale * b for b in base]).as_dict()
+        for scale, base in ((1e200, [1.0, -1.0, 3.0]), (1e-90, [1.0, 2.0, 4.0]),
+                            (1e308, [-1.0, 1.0, 1.5]), (1e308, [1.0, 1.5])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = summarize([scale * b for b in base]).as_dict()
             for field, target in naive_summary(base).items():
                 if field not in ("skewness", "kurtosis", "cv"):
                     target *= scale

@@ -374,15 +374,15 @@ def row_dataset(P, Y, i):
     return Dataset(P if P.ndim == 2 else P[i], Y[i])
 
 
-def reference_fit(spec, data, tol=1e-12, max_iter=100):
+def reference_fit(spec, data, tol=1e-12, max_iter=100, start=None):
     """Per-dataset Newton ascent with step halving and a gradient fallback,
     written loop by loop on the public likelihood functions from the
-    solver's start: the reference the stacked solver must reproduce.  A
-    dataset converges when its Newton decrement g'd is in [0, tol]; that
-    pass's full step is its last, taken only if the log-likelihood does
-    not fall.  Returns (beta, iterations, converged)."""
+    solver's start, or from ``start``: the reference the stacked solver
+    must reproduce.  A dataset converges when its Newton decrement g'd is
+    in [0, tol]; that pass's full step is its last, taken only if the
+    log-likelihood does not fall.  Returns (beta, iterations, converged)."""
     k = spec.coefficient_count(data.p)
-    beta = solver_start(spec, data)
+    beta = solver_start(spec, data) if start is None else np.asarray(start, dtype=float)
     iterations = 0
     for _ in range(max_iter):
         ll = log_likelihood(spec, beta, data)
@@ -424,8 +424,8 @@ def flipped_label_draw(stream, n=30):
 class TestFitStack:
     def test_one_row_matches_reference_loop(self):
         """Includes the gaussian draw with seed 2, on which the compit fit
-        once stalled in hundreds of step halvings, and the gradient
-        fallback."""
+        once stalled in hundreds of step halvings, the gradient fallback,
+        and a row whose probe cannot move it."""
         cfg = GenConfig(Gaussian(0.0, 2.0), LinkKind.CAUCHIT, beta0=1.0, beta1=2.0, n=500)
         problems = [(ModelSpec(link), generate_dataset(cfg, seed=2, replicate=0))
                     for link in ALL_LINKS]
@@ -447,6 +447,28 @@ class TestFitStack:
             np.testing.assert_array_equal(result.coefficients, beta)
             assert result.iterations == iterations
             assert result.converged == converged
+        # a draw of a seeded search over random starts (substream(310, t),
+        # t < 3000): after three moves the probe moves no coefficient, so
+        # the row halves its step until the halvings run out, unconverged
+        stream = substream(310, 97)
+        P = stream.normal(size=(15, 2)) * 10.0 ** stream.uniform(-20, 20, size=2)
+        y = (stream.random(15) < 0.5).astype(float)
+        y[0], y[1] = 0.0, 1.0
+        start = stream.normal(size=2) * 10.0 ** stream.uniform(-5, 15, size=2)
+        spec, data = ModelSpec(LinkKind.PROBIT, intercept=False), Dataset(P, y)
+        beta, iterations, converged = reference_fit(spec, data, start=start)
+        g = score(spec, beta, data)
+        d = np.linalg.solve(observed_information(spec, beta, data) + 1e-10 * np.eye(2), g)
+        assert g @ d > fit_module.SOLVER_TOL and np.all(beta + d == beta)
+        # alone, and beside a row that converges
+        pair = newton(spec, P, np.stack([y, y]), np.stack([start, np.zeros(2)]))
+        assert pair.stop.tolist() == [fit_module._HALVINGS, fit_module._DECREMENT]
+        alone = newton(spec, P, y[None], start[None])
+        assert alone.stop[0] == fit_module._HALVINGS and not converged
+        for fit in (alone, pair):
+            np.testing.assert_array_equal(fit.coefficients[0], beta)
+            assert fit.loglik[0] == log_likelihood(spec, beta, data)
+            assert fit.iterations[0] == iterations
 
 
     @pytest.mark.parametrize("shared", [True, False])
@@ -479,6 +501,7 @@ class TestFitStack:
                 assert isinstance(stack.errors[2], SeparationError)
                 assert np.all(np.isnan(stack.coefficients[2]))
                 assert stack.iterations[2] == 0 and not stack.converged[2]
+                assert stack.stop[2] == fit_module._SINGLE_VALUED
                 np.testing.assert_array_equal(stack.ok, [True, True, False, True, True])
                 keep = stack.ok
                 for field in ("coefficients", "loglik", "iterations", "converged"):
