@@ -143,12 +143,10 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_replicate_csv(path: str, columns: dict) -> None:
-    """One row per replicate: its index, then its value in each named
-    column at full precision."""
-    values = zip(*([_full(v) for v in column] for column in columns.values()))
-    _write_csv(path, ["replicate", *columns],
-               ([str(r), *row] for r, row in enumerate(values)))
+def _write_columns(path: str, columns: dict) -> None:
+    """One column per entry, headed by its name; row i holds every
+    column's value i at full precision."""
+    _write_csv(path, columns, zip(*([_full(v) for v in col] for col in columns.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,8 @@ def cmd_structural(args) -> int:
     _check_replication_flags(args)
     cfg = _gen_config(args)
     report = structural_sim(cfg, args.reps, args.inner, args.seed, jobs=args.jobs)
-    _write_replicate_csv(args.out, {
+    _write_columns(args.out, {
+        "replicate": range(args.reps),
         "theta": report.theta_hats,
         "tau": report.tau_hats,
         "rho": report.rho_hats,
@@ -324,7 +323,8 @@ def cmd_predictive(args) -> int:
     links, plan = _paired_setup(args)
     data = read_dataset_csv(args.csv, args.response)
     reports = predictive_sim(data, links, plan, jobs=args.jobs)
-    _write_replicate_csv(args.out, {str(link): reports[link].values for link in links})
+    _write_columns(args.out, {"replicate": range(args.reps),
+                              **{str(link): reports[link].values for link in links}})
     print(f"test errors over R={args.reps} splits "
           f"(train fraction 2/3, seed {args.seed}):")
     _stats_table({link: reports[link].stats for link in links}, decimals=2)
@@ -365,9 +365,9 @@ def cmd_ic(args) -> int:
     links, plan = _paired_setup(args)
     data = read_dataset_csv(args.csv, args.response)
     reports = ic_compare(data, links, plan, jobs=args.jobs)
-    _write_replicate_csv(args.out, {
+    _write_columns(args.out, {"replicate": range(args.reps), **{
         f"{link}_{ic}": getattr(reports[link], ic) for link in links for ic in ("aic", "bic")
-    })
+    }})
     print(f"AIC over R={args.reps} training fits (seed {args.seed}):")
     _stats_table({link: reports[link].aic_stats for link in links}, decimals=2)
     print("BIC:")
@@ -378,11 +378,7 @@ def cmd_ic(args) -> int:
 def cmd_gen(args) -> int:
     cfg = _gen_config(args)
     data = generate_dataset(cfg, args.seed, 0)
-    rows = [
-        [_full(data.predictors[i, 0]), str(int(data.response[i]))]
-        for i in range(data.n)
-    ]
-    _write_csv(args.out, ["x", "y"], rows)
+    _write_columns(args.out, {"x": data.predictors[:, 0], "y": data.response.astype(int)})
     print(f"wrote {args.out}: n={cfg.n}, truth={cfg.truth_link}, "
           f"beta0={cfg.beta0:g}, beta1={cfg.beta1:g}, seed={args.seed}")
     return EXIT_OK
@@ -393,14 +389,10 @@ def cmd_cdfgrid(args) -> int:
     a, b = args.interval
     _check_grid(a, b, args.s)
     grid = np.linspace(a, b, args.s)
-    header = ["u"]
-    columns = [grid]
+    columns = {"u": grid}
     for link in links:
-        header += [f"{link}_density", f"{link}_cdf"]
-        columns.append(density(link, grid))
-        columns.append(cdf(link, grid))
-    rows = [[_full(col[i]) for col in columns] for i in range(args.s)]
-    _write_csv(args.out, header, rows)
+        columns |= {f"{link}_density": density(link, grid), f"{link}_cdf": cdf(link, grid)}
+    _write_columns(args.out, columns)
     print(f"wrote {args.out}: {args.s} points of [{a:g}, {b:g}] "
           f"for {', '.join(str(k) for k in links)}")
     return EXIT_OK
