@@ -16,9 +16,10 @@ its arguments, its seed and its input files: reruns produce
 byte-identical output, including under different ``--jobs`` values.  CSV
 input needs a header row, "."-decimal numeric cells and a 0/1 response
 column (``--response``, default "y"); missing and non-finite values
-abort ingestion.  Exit status is 0 when the computation completed with
-at most ``--max-invalid-frac`` failed replicates, 3 when more replicates
-failed, and 1 on any error.
+abort ingestion.  Numeric options take any float literal, negative and
+exponent forms included (``--interval -1e-3 1e-3``).  Exit status is 0
+when the computation completed with at most ``--max-invalid-frac``
+failed replicates, 3 when more replicates failed, and 1 on any error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import math
 import numbers
 import os
+import re
 import sys
 
 import numpy as np
@@ -441,7 +443,14 @@ def _add_replication_flags(p, *, reps, out):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ``ArgumentError``, so
     that ``main`` reports them like any other bad input, with exit status
-    1.  Subcommand parsers are of this class too."""
+    1, and which read any negative float literal, exponent included, as
+    a value rather than an option.  Subcommand parsers are of this class
+    too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1e-3 for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ArgumentError(f"{self.prog}: {message}")

@@ -220,8 +220,10 @@ def ols_simple(xs, ys) -> OlsLine:
         raise DegenerateSampleError("ys is constant; correlation undefined")
     theta = sxy / sxx
     rho = sxy / math.sqrt(sxx * syy)
-    return OlsLine(tau=float(np.ldexp(ybar - theta * xbar, ey)),
-                   theta=float(np.ldexp(theta, ey - ex)), rho=rho, r2=rho * rho)
+    # a line whose slope or intercept lies beyond the double range gets ±inf
+    with np.errstate(over="ignore"):
+        return OlsLine(tau=float(np.ldexp(ybar - theta * xbar, ey)),
+                       theta=float(np.ldexp(theta, ey - ex)), rho=rho, r2=rho * rho)
 
 
 def _structural_replicate(args) -> tuple[float, float, float, float, int]:
@@ -311,6 +313,8 @@ def summarize(values) -> SummaryStats:
         kurtosis = float("nan")
     cv = 100.0 * sd / mean if mean != 0.0 else float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
+        # an sd beyond the double range scales back to inf
+        mean, sd = np.ldexp([mean, sd], e)
         order = _median_iqr(arr)
         if not np.isfinite(order).all():
             # the median and quartiles interpolate between order
@@ -321,8 +325,8 @@ def summarize(values) -> SummaryStats:
     median, iqr = order
     return SummaryStats(
         median=float(median),
-        mean=float(np.ldexp(mean, e)),
-        sd=float(np.ldexp(sd, e)),
+        mean=float(mean),
+        sd=float(sd),
         skewness=skewness,
         kurtosis=kurtosis,
         cv=cv,

@@ -147,7 +147,16 @@ def readme_cli_examples():
     return [line for line in block.splitlines() if line.startswith("linkequiv ")]
 
 
-@pytest.mark.parametrize("line", readme_cli_examples())
+# numeric values argparse alone would take for options
+NEGATIVE_EXPONENT_LINES = [
+    "linkequiv gen --beta0 -1e-3",
+    "linkequiv cdfgrid --interval -1e-3 1e-3",
+    "linkequiv concordance --interval -2.5e1 25",
+    "linkequiv gen --interval -1E2 0",
+]
+
+
+@pytest.mark.parametrize("line", readme_cli_examples() + NEGATIVE_EXPONENT_LINES)
 def test_readme_cli_example_parses(line):
     cli.build_parser().parse_args(shlex.split(line)[1:])
 
@@ -301,18 +310,21 @@ class TestFit:
     @pytest.mark.parametrize("argv, message", [
         (("structural", "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
         (("tabulate",), "invalid choice: 'tabulate'"),
-    ], ids=["bad-jobs", "unknown-subcommand"])
+        (("gen", "--beta0", "-x"), "argument --beta0: expected one argument"),
+    ], ids=["bad-jobs", "unknown-subcommand", "option-as-value"])
     def test_usage_error_exits_one_with_message(self, capsys, argv, message):
         assert run(*argv) == EXIT_ERROR
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
 
-    def test_help_still_exits_zero(self, capsys):
+    @pytest.mark.parametrize("command", ["fit", "structural", "predictive", "concordance",
+                                         "ic", "gen", "cdfgrid"])
+    def test_help_still_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            run("structural", "--help")
+            run(command, "--help")
         assert exc.value.code == 0
-        assert "usage: linkequiv structural" in capsys.readouterr().out
+        assert f"usage: linkequiv {command}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("column", ["x", "y"])

@@ -159,6 +159,14 @@ class TestOlsSimple:
             assert far.theta == pytest.approx(2.5 / scale, abs=0.0, rel=1e-12)
             assert far.tau == pytest.approx(-2.0 / 3.0, abs=1e-12)
             assert far.rho == pytest.approx(out.rho, abs=1e-15)
+        # a slope beyond the double range (the true one is 1.5e600) is inf
+        # with no warning, while the intercept and rho stay exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = ols_simple([1e-300, 2e-300, 3e-300], [1e300, 2e300, 4e300])
+        assert huge.theta == math.inf
+        assert huge.tau == pytest.approx(-2e300 / 3.0, abs=0.0, rel=1e-12)
+        assert huge.rho == pytest.approx(ols_simple([1, 2, 3], [1, 2, 4]).rho, abs=1e-15)
 
     def test_proportional_probit_logit_slopes(self):
         # if probit estimates were exactly sqrt(pi/8) times the logit
@@ -229,6 +237,13 @@ class TestSummarize:
                 if field not in ("skewness", "kurtosis", "cv"):
                     target *= scale
                 assert got[field] == pytest.approx(target, abs=0.0, rel=1e-12)
+        # an sd beyond the double range (the true one is 2.4e308) is inf
+        # with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = summarize([-1.7e308, 1.7e308])
+        assert got.sd == math.inf
+        assert (got.mean, got.median, got.iqr) == (0.0, 0.0, 1.7e308)
 
     def test_normal_sample_kurtosis_is_three(self):
         # the non-excess convention: a large normal sample scores ~3
