@@ -57,10 +57,9 @@ class UnivariateSample:
         if y.shape != x.shape:
             raise ArgumentError("x and y must have equal length")
         _check_entries(x, y)
-        # sum(x^2) is zero exactly when the largest x^2 is: subnormal x can
-        # be nonzero while x*x underflows
-        largest = float(np.max(np.abs(x)))
-        if largest * largest == 0.0:
+        # shared_kernel scales x by a power of two before squaring, so its
+        # sum of squares is zero only where every x is
+        if not x.any():
             raise DegenerateSampleError("sum of squared predictors is zero")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -73,10 +72,12 @@ def shared_kernel(s: UnivariateSample) -> float:
     Evaluated as sum(x*(2y - 1))/sum(x^2), which is the same quantity
     but makes flipping every y to 1-y negate the result exactly, with x
     scaled by a power of two (``equiv._scaled``), so that neither sum
-    overflows or underflows.
+    overflows or underflows.  A kernel beyond the double range, as
+    subnormal x give, is +-inf.
     """
     x, e = _scaled(s.x)
-    return float(np.ldexp(np.sum(x * (2.0 * s.y - 1.0)) / np.sum(x * x), -e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sum(x * (2.0 * s.y - 1.0)) / np.sum(x * x), -e))
 
 
 def beta_cf_logit(s: UnivariateSample) -> float:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import math
 import numbers
 import os
@@ -528,7 +530,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters, and the environment variables through which
+# a user sets the same thresholds
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+@functools.cache
+def _raise_malloc_thresholds() -> None:
+    """Let glibc serve arrays of up to 32 MiB from its heap and keep up to
+    64 MiB of freed heap, so that the solver's passes reuse their arrays'
+    memory instead of mapping, page-faulting and unmapping it every time.
+
+    Forked pool workers inherit the setting.  Linux only; a no-op where the
+    C library has no ``mallopt`` or the user set either threshold through
+    the environment.  Both thresholds are set, or neither: setting one
+    turns off glibc's dynamic thresholds."""
+    if not sys.platform.startswith("linux") or any(name in os.environ for name in _MALLOC_ENV):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _raise_malloc_thresholds()
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)

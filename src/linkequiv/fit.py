@@ -285,17 +285,10 @@ def _likelihood(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, beta: np.ndarr
     eta, which no caller reads.
     """
     eta = (beta[:, None, :] @ Xt)[:, 0, :]
-    # a sum of squares is finite only if every eta is: one dot product
-    # clears the stack, and only a stack that fails it is searched by row
-    overflow = None
-    if not np.isfinite(np.vdot(eta, eta)):
-        overflow = ~np.isfinite(eta).all(axis=1)
-        eta[overflow] = 0.0
+    finite = np.isfinite(eta).all(axis=1)
+    eta[~finite] = 0.0
     parts = _LOG_TERMS[link](eta, sign)
-    ll = parts[0].sum(axis=-1)
-    if overflow is not None:
-        ll[overflow] = np.nan
-    return ll, parts
+    return np.where(finite, parts[0].sum(axis=-1), np.nan), parts
 
 
 def _derivatives(link: LinkKind, Xt: np.ndarray, sign: np.ndarray, parts) -> tuple:

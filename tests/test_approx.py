@@ -1,6 +1,8 @@
 """Closed-form estimators: hand values, proportionality and sign laws."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,9 +48,17 @@ class TestSharedKernel:
     def test_all_zero_x_rejected(self):
         with pytest.raises(DegenerateSampleError):
             sample([0.0, 0.0], [1, 0])
-        # and nonzero x whose every square underflows
-        with pytest.raises(DegenerateSampleError):
-            sample([1e-200, -1e-200], [1, 0])
+        # nonzero x whose every square underflows is no degenerate sample:
+        # its kernel is the exact one, and beyond the double range it is
+        # -inf, with no warning either way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in (([1e-200, -1e-200], [1, 0]), ([1e-300, -2e-300, 3e-300], [1, 0, 1])):
+                exact = sum(Fraction(a) * (2 * b - 1) for a, b in zip(x, y)) / sum(
+                    Fraction(a) ** 2 for a in x
+                )
+                assert shared_kernel(sample(x, y)) == float(exact)
+            assert shared_kernel(sample([5e-324, 1e-323], [1, 0])) == -math.inf
 
     def test_bad_response_rejected(self):
         with pytest.raises(ArgumentError):

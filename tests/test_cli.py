@@ -1,6 +1,7 @@
 """End-to-end subcommand behaviour, file formats and determinism."""
 
 import csv
+import ctypes
 import hashlib
 import importlib
 import math
@@ -543,6 +544,72 @@ def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
     argv = ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", tmp_path / "o.csv"]
     assert run(*argv, "--jobs", 64) == EXIT_OK
     assert FakePool.started == [2]
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records each call and returns
+    ``accept``, as glibc returns 1 on success and 0 on a refused value."""
+
+    def __init__(self, accept=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return accept
+
+        self.mallopt = mallopt
+
+
+class TestMallocThresholds:
+    """``cli._raise_malloc_thresholds`` without its once-per-process cache,
+    on a fake C library, so this process's allocator is left as it is."""
+
+    @pytest.fixture(autouse=True)
+    def linux(self, monkeypatch):
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+
+    def raise_with(self, monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._raise_malloc_thresholds.__wrapped__()
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        libc = FakeLibc()
+        self.raise_with(monkeypatch, libc)
+        assert libc.calls == [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert libc.mallopt.restype is ctypes.c_int
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch):
+        libc = FakeLibc(accept=0)
+        self.raise_with(monkeypatch, libc)
+        assert libc.calls == [(cli._M_MMAP_THRESHOLD, 32 << 20)]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        self.raise_with(monkeypatch, object())
+
+    @pytest.mark.parametrize("name", cli._MALLOC_ENV)
+    def test_skipped_when_user_sets_thresholds(self, monkeypatch, name):
+        value = "glibc.malloc.mmap_threshold=65536" if name == "GLIBC_TUNABLES" else "65536"
+        monkeypatch.setenv(name, value)
+        libc = FakeLibc()
+        self.raise_with(monkeypatch, libc)
+        assert libc.calls == []
+
+    def test_skipped_off_linux(self, monkeypatch):
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        libc = FakeLibc()
+        self.raise_with(monkeypatch, libc)
+        assert libc.calls == []
+
+    def test_main_sets_them_once(self, monkeypatch, tmp_path):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._raise_malloc_thresholds.cache_clear()
+        for seed in (1, 2):
+            assert run("gen", "--n", 5, "--seed", seed, "--out", tmp_path / "g.csv") == EXIT_OK
+        assert len(libc.calls) == 2
 
 
 @pytest.mark.parametrize("command", ["predictive", "ic"])

@@ -546,31 +546,42 @@ class TestFitStack:
         rest = fit_stack(spec, P[1:], Y[1:])
         np.testing.assert_array_equal(stack.coefficients[1:], rest.coefficients)
 
-    @pytest.mark.parametrize("where", ["start", "probe"])
+    @pytest.mark.parametrize("where", ["start", "probe", "sum-of-squares"])
     def test_overflowing_row_fails_alone(self, where):
         """Row 1's linear predictor overflows at its start (a shared x from
         1e308) or at its first probe (x of 1e150 from -8e-148): it fails
         with a ``DomainError`` and NaN fields, no overflow warning escapes,
-        and row 0 ends bit for bit where it ends alone."""
+        and row 0 ends bit for bit where it ends alone.  A start of 1e200
+        on the shared x keeps every eta finite while their sum of squares
+        overflows: that row does not fail, and it too ends bit for bit
+        where it ends alone."""
         spec = ModelSpec(LinkKind.LOGIT, intercept=False)
         x = np.array([1.0, 2.0, -1.0, -2.0, 0.5])
         y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        if where == "start":
-            P, Y, start = x[:, None], np.stack([y, y]), [[0.0], [1e308]]
-        else:
+        if where == "probe":
             huge = 1e150 * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
             P = np.stack([x, huge])[..., None]
             Y = np.stack([y, [1.0, 0.0, 1.0, 0.0, 1.0]])
             start = [[0.0], [-8e-148]]
+        else:
+            P, Y = x[:, None], np.stack([y, y])
+            start = [[0.0], [1e308 if where == "start" else 1e200]]
         alone = newton(spec, x[:, None], y[None], [[0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stack = newton(spec, P, Y, start)
-        assert isinstance(stack.errors[1], DomainError)
-        assert np.isnan(stack.coefficients[1]).all() and np.isnan(stack.loglik[1])
-        assert not stack.converged[1]
+        fields = ("coefficients", "loglik", "iterations", "converged")
+        if where == "sum-of-squares":
+            assert stack.errors[1] is None and np.isfinite(stack.loglik[1])
+            second = newton(spec, x[:, None], y[None], [start[1]])
+            for field in fields:
+                np.testing.assert_array_equal(getattr(stack, field)[1], getattr(second, field)[0])
+        else:
+            assert isinstance(stack.errors[1], DomainError)
+            assert np.isnan(stack.coefficients[1]).all() and np.isnan(stack.loglik[1])
+            assert not stack.converged[1]
         assert stack.errors[0] is None
-        for field in ("coefficients", "loglik", "iterations", "converged"):
+        for field in fields:
             np.testing.assert_array_equal(getattr(stack, field)[0], getattr(alone, field)[0])
 
     def test_fit_mle_raises_when_a_probe_overflows(self, monkeypatch):
