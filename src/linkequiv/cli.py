@@ -200,22 +200,13 @@ def _parse_links(text: str) -> tuple[LinkKind, ...]:
     return tuple(links)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the
-    platform reports one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _check_replication_flags(args) -> None:
-    """Reject --jobs below 1 and --max-invalid-frac outside [0, 1], and
-    cap --jobs at the CPUs the process may run on."""
+    """Reject --jobs below 1 and --max-invalid-frac outside [0, 1].  How
+    many workers --jobs starts is ``parallel.replicate_map``'s rule."""
     if args.jobs < 1:
         raise ArgumentError("--jobs must be at least 1")
     if not 0.0 <= args.max_invalid_frac <= 1.0:
         raise ArgumentError("--max-invalid-frac must lie in [0, 1]")
-    args.jobs = min(args.jobs, _usable_cpus())
 
 
 def _paired_setup(args) -> tuple[tuple[LinkKind, ...], SplitPlan]:
@@ -433,8 +424,8 @@ def _add_replication_flags(p, *, reps, out):
     p.add_argument("--seed", type=int, default=0,
                    help="stream seed (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, capped at the CPUs this process "
-                        "may run on (default %(default)s)")
+                   help="most worker processes; the README's --jobs paragraph "
+                        "gives the pool-size rule (default %(default)s)")
     p.add_argument("--max-invalid-frac", type=float, default=0.01,
                    help="failed-replicate fraction in [0, 1] tolerated "
                         "before a nonzero exit (default %(default)s)")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ExperimentError, _check_count
+from .errors import ArgumentError, ExperimentError, _check_count, _check_interval
 from .fit import Dataset, ModelSpec, StackFit, _aic_bic, _fit_links, _model_matrix
 from .links import LinkKind, cdf
 from .parallel import replicate_map
@@ -207,7 +207,8 @@ def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
 
 def _ic_replicate(fit: StackFit, n: int) -> tuple[np.ndarray, np.ndarray]:
     """AIC and BIC of each row of a stacked training fit on n rows; NaN
-    where that row's fit failed."""
+    where that row's fit failed.  A fitted row that did not converge is
+    reported too."""
     return _aic_bic(fit.loglik, fit.coefficients.shape[1], n)
 
 
@@ -244,13 +245,15 @@ def _paired_pass(
 
     The R replicates are cut into contiguous blocks, one
     ``replicate_map`` task each: as few as keep every block's stacked
-    training data within ``_BLOCK_ELEMENTS``.  ``jobs`` only sets how
-    many workers run the blocks, so a pass that fits in one block runs
-    in this process and starts no pool.  On a 2-vCPU host that paid for
-    a 50-replicate block of 500 rows and was even at 98 replicates; on
-    a host with more free cores, splitting one block across workers may
-    be faster (README, ``--jobs``).  Every block is shipped the data
-    once, and a command starts at most one process pool.
+    training data within ``_BLOCK_ELEMENTS``.  ``jobs`` never sets the
+    block count: it goes to ``replicate_map``, whose pool-size rule
+    decides how many workers run the blocks, so a pass that fits in one
+    block runs in this process and starts no pool.  On a 2-vCPU host
+    that paid for a 50-replicate block of 500 rows and was even at 98
+    replicates; on a host with more free cores, splitting one block
+    across workers may be faster (README, ``--jobs``).  Every block is
+    shipped the data once, and a command starts at most one process
+    pool.
     Stacked rows never interact, so the result does not depend on the
     blocking.  The rows are ordered once, by ``_row_order``, for every
     block.
@@ -300,10 +303,7 @@ def concordance_rate(c1: Classifier, c2: Classifier, points) -> float:
 def _check_grid(a: float, b: float, s) -> None:
     """Reject a grid of ``s`` points on [a, b] unless a < b, the width
     b - a is finite and ``s`` is an integer of at least 2."""
-    if not a < b:
-        raise ArgumentError("interval must satisfy a < b")
-    if not math.isfinite(b - a):
-        raise ArgumentError("interval width must be finite")
+    _check_interval(a, b, "interval")
     _check_count(s, "s", 2)
 
 

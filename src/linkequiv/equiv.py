@@ -30,7 +30,14 @@ import numpy as np
 # _ic_replicate is bound here as well because the benchmark tracer
 # (perfbench/spans.py) looks it up as equiv._ic_replicate.
 from .concord import SplitPlan, _ic_replicate, _paired_pass  # noqa: F401
-from .errors import ArgumentError, DegenerateSampleError, ExperimentError, _check_count
+from .errors import (
+    ArgumentError,
+    DegenerateSampleError,
+    DomainError,
+    ExperimentError,
+    _check_count,
+    _check_interval,
+)
 from .fit import Dataset, _fit_links
 from .links import LinkKind, cdf
 from .parallel import replicate_map
@@ -62,8 +69,7 @@ class Equispaced:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ArgumentError("equispaced design needs lo < hi")
+        _check_interval(self.lo, self.hi, "equispaced interval")
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,10 @@ class Gaussian:
     sd: float
 
     def __post_init__(self):
-        if not self.sd > 0.0:
-            raise ArgumentError("gaussian design needs sd > 0")
+        if not math.isfinite(self.mean):
+            raise ArgumentError("gaussian design needs a finite mean")
+        if not 0.0 < self.sd < math.inf:
+            raise ArgumentError("gaussian design needs a finite sd > 0")
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,9 @@ class GenConfig:
         _check_count(self.n, "n", 2)
         if not isinstance(self.design, (Equispaced, Gaussian)):
             raise ArgumentError("design must be Equispaced or Gaussian")
+        for name in ("beta0", "beta1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,20 @@ def _draw(cfg: GenConfig, seed: int, path: tuple, S: int) -> tuple[np.ndarray, n
     x is the (n,) equispaced grid shared by every row, or an (S, n)
     gaussian draw from the ``(seed, *path, "x")`` stream; the (S, n)
     responses come from the ``(seed, *path, "y")`` stream.  A stream fills
-    the rows in order, so row 0 of an S-row draw is the 1-row draw.
+    the rows in order, so row 0 of an S-row draw is the 1-row draw.  A
+    true linear predictor beta0 + beta1 * x that is not finite raises
+    ``DomainError``.
     """
     if isinstance(cfg.design, Equispaced):
         x = np.linspace(cfg.design.lo, cfg.design.hi, cfg.n)
     else:
         x = substream(seed, *path, "x").normal(cfg.design.mean, cfg.design.sd, (S, cfg.n))
-    probs = cdf(cfg.truth_link, cfg.beta0 + cfg.beta1 * x)
+    # an overflow is refused below, so it is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = cfg.beta0 + cfg.beta1 * x
+    if not np.isfinite(eta).all():
+        raise DomainError("true linear predictor beta0 + beta1 * x must be finite")
+    probs = cdf(cfg.truth_link, eta)
     y = (substream(seed, *path, "y").random((S, cfg.n)) < probs).astype(float)
     return x, y
 
@@ -260,8 +278,13 @@ def structural_sim(
     With ``cfg.beta0 == 0`` the fitted models drop the intercept (the
     setting in which the closed-form theory is stated); otherwise both
     models carry intercepts and the slope coefficients are paired.
-    Within a replicate, datasets whose logit or probit fit fails are
-    dropped pairwise.
+    Within a replicate, every fitted pair is kept, whether a fit stopped
+    on the decrement rule, at ``MAX_ITERATIONS`` or when its halvings ran
+    out; datasets whose logit or probit fit fails are dropped pairwise
+    and counted in ``dropped``, and a replicate with fewer than three
+    surviving pairs is NaN.  Each replicate is one ``replicate_map``
+    task, and that function's pool-size rule decides how many of the
+    ``jobs`` workers start.
     """
     _check_count(R, "R", 1)
     _check_count(S, "S", 3)
@@ -365,7 +388,9 @@ def predictive_sim(
 ) -> dict[LinkKind, TestErrorReport]:
     """Paired predictive comparison: every link, with an intercept, is
     fitted and scored on the identical split sequence, and its R test
-    errors are summarized.
+    errors are summarized.  Every fitted training row is scored, a
+    capped or halving-stopped one included; a failed one is NaN and
+    counts in ``n_failed``.
     """
     links = tuple(links)
     te, _, _, usable = _summary_pass(data, links, plan, jobs)
@@ -387,7 +412,10 @@ def ic_compare(
 ) -> dict[LinkKind, IcReport]:
     """AIC/BIC of each per-replicate training fit, per link with an
     intercept, using the same paired split sequence as
-    ``predictive_sim``."""
+    ``predictive_sim``.  Every fitted training row is reported, a capped
+    or halving-stopped one included, although ``information_criteria``
+    refuses a fit that did not converge; a failed one is NaN and counts
+    in ``n_failed``."""
     links = tuple(links)
     _, aic, bic, usable = _summary_pass(data, links, plan, jobs)
     return {

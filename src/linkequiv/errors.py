@@ -1,6 +1,7 @@
 """Exception hierarchy shared by every module in the package, and the
-check of count arguments that raises one of them."""
+checks of count and interval arguments that raise one of them."""
 
+import math
 import operator
 
 
@@ -41,3 +42,12 @@ def _check_count(value, name: str, minimum: int) -> None:
         raise ArgumentError(f"{name} must be an integer") from None
     if value < minimum:
         raise ArgumentError(f"{name} must be at least {minimum}")
+
+
+def _check_interval(a, b, name: str) -> None:
+    """Raise ``ArgumentError`` unless a < b and the width b - a of the
+    interval ``name`` is finite."""
+    if not a < b:
+        raise ArgumentError(f"{name} must satisfy a < b")
+    if not math.isfinite(float(b) - float(a)):
+        raise ArgumentError(f"{name} width must be finite")

@@ -14,7 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkequiv import LinkKind, ModelSpec, cli, concord, parallel
+from linkequiv import (
+    Equispaced,
+    GenConfig,
+    LinkKind,
+    ModelSpec,
+    SplitPlan,
+    cli,
+    concord,
+    parallel,
+    predictive_sim,
+    structural_sim,
+)
 from linkequiv import fit as fit_module
 from linkequiv.cli import EXIT_ERROR, EXIT_OK, EXIT_TOO_MANY_INVALID, main, read_dataset_csv
 
@@ -74,6 +85,28 @@ class TestGen:
         out = tmp_path / "g.csv"
         assert run("gen", *args, "--out", out) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, name", [
+        (("gen", "--design", "gaussian", "--mean", "nan"), "mean"),
+        (("gen", "--design", "gaussian", "--sd", "inf"), "sd"),
+        (("gen", "--beta0", "inf"), "beta0"),
+        (("structural", "-R", 1, "-S", 5, "--beta1", "nan"), "beta1"),
+        (("gen", "--interval", "-1e308", "1e308"), "interval width"),
+        (("gen", "--beta1", "1e308", "--interval", 0, 10), "linear predictor"),
+        (("gen", "--design", "gaussian", "--sd", "1e308", "--beta1", "1e308"),
+         "linear predictor"),
+    ], ids=["mean", "sd", "beta0", "beta1", "overflowing-width", "overflowing-predictor",
+            "overflowing-gaussian-predictor"])
+    def test_non_finite_generator_input_exits_one(self, tmp_path, capsys, args, name):
+        """A non-finite generator parameter, or one that overflows the
+        design or the true linear predictor, ends in one error line that
+        names it, with no numpy warning first."""
+        out = tmp_path / "g.csv"
+        assert run(*args, "--out", out) == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+        assert not out.exists()
 
     def test_runs_as_python_dash_m(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -425,14 +458,14 @@ def replication_argv(command, csv_path, out):
 
 
 def fake_cpus(monkeypatch, count, usable):
-    """The host as ``cli`` sees it: ``count`` CPUs, of which the process
-    may run on ``usable``; with ``usable`` None the platform reports no
-    affinity set."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+    """The host as ``parallel.replicate_map`` sees it when it sizes a pool:
+    ``count`` CPUs, of which the process may run on ``usable``; with
+    ``usable`` None the platform reports no affinity set."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
     if usable is None:
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(usable)),
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
                             raising=False)
 
 
@@ -544,6 +577,26 @@ def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
     argv = ["structural", "-R", 2, "-S", 3, "--n", 30, "--out", tmp_path / "o.csv"]
     assert run(*argv, "--jobs", 64) == EXIT_OK
     assert FakePool.started == [2]
+
+
+@pytest.mark.parametrize("run", [
+    lambda csv_path: parallel.replicate_map(abs, range(8), jobs=64),
+    lambda csv_path: structural_sim(
+        GenConfig(Equispaced(0.0, 1.0), LinkKind.CAUCHIT, beta0=0.0, beta1=0.5, n=199),
+        R=64, S=3, seed=0, jobs=64),
+    lambda csv_path: predictive_sim(read_dataset_csv(csv_path, "y"), [LinkKind.LOGIT],
+                                    SplitPlan(replications=4, seed=0), jobs=64),
+], ids=["replicate_map", "structural_sim", "predictive_sim"])
+def test_library_pools_capped_at_usable_cpus(run, dataset_csv, monkeypatch):
+    """A library caller's pool is capped at the usable CPUs, as the CLI's
+    is: on 3 of 8 CPUs, jobs=64 over 8 elements, 64 structural replicates
+    or 4 one-replicate blocks starts 3 workers."""
+    monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", 1)
+    fake_cpus(monkeypatch, 8, 3)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    run(dataset_csv)
+    assert FakePool.started == [3]
 
 
 class FakeLibc:

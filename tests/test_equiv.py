@@ -114,6 +114,22 @@ class TestGenerateDataset:
         with pytest.raises(ArgumentError, match="design must be"):
             GenConfig(design="gaussian", truth_link=LinkKind.LOGIT,
                       beta0=0.0, beta1=1.0, n=10)
+        # every non-finite design or coefficient is refused, by its name
+        for make, name in [
+            (lambda: Equispaced(-1e308, 1e308), "width must be finite"),
+            (lambda: Equispaced(0.0, math.inf), "width must be finite"),
+            (lambda: Equispaced(math.nan, 1.0), "a < b"),
+            (lambda: Gaussian(math.nan, 1.0), "finite mean"),
+            (lambda: Gaussian(-math.inf, 1.0), "finite mean"),
+            (lambda: Gaussian(0.0, math.inf), "finite sd"),
+            (lambda: Gaussian(0.0, math.nan), "finite sd"),
+            (lambda: GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.LOGIT,
+                               beta0=math.inf, beta1=1.0, n=10), "beta0 must be finite"),
+            (lambda: GenConfig(design=Equispaced(0, 1), truth_link=LinkKind.LOGIT,
+                               beta0=0.0, beta1=math.nan, n=10), "beta1 must be finite"),
+        ]:
+            with pytest.raises(ArgumentError, match=name):
+                make()
 
 
 @pytest.mark.parametrize("make", [
@@ -598,6 +614,9 @@ class TestPairedPass:
 
         monkeypatch.setattr(concord, "replicate_map", recording_map)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        # replicate_map caps a pool at the usable CPUs, so a 3-worker pool
+        # needs 3 of them whatever the host has
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
         for budget in (4 * 96, 3 * 96):
             monkeypatch.setattr(concord, "_BLOCK_ELEMENTS", budget)
             for jobs in (2, 3):

@@ -342,6 +342,32 @@ class TestFitMle:
         assert WARN_SEPARATION in result.warnings
         assert np.isfinite(result.loglik)
 
+    @pytest.mark.xfail(strict=True, raises=SeparationError,
+                       reason="ROADMAP item 1b: exact separation check")
+    def test_one_class_response_with_mixed_sign_x_has_a_finite_mle(self):
+        """With no intercept, a one-class response and x of both signs, the
+        likelihood falls towards 0 as |b| grows either way, so the MLE is
+        finite: a bounded scalar search puts logit's at b = 0.771132, with
+        loglik -2.617312.  The solver refuses such a sample at entry."""
+        data = Dataset.univariate([-1.0, 2.0, 3.0, -0.5, 1.5], [1.0] * 5)
+        result = fit_mle(ModelSpec(LinkKind.LOGIT, intercept=False), data)
+        assert result.converged
+        assert result.coefficients[0] == pytest.approx(0.771132, abs=1e-5)
+        assert result.loglik == pytest.approx(-2.617312, abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1b: exact separation check")
+    @pytest.mark.parametrize("link", [LinkKind.PROBIT, LinkKind.COMPIT])
+    def test_complete_separation_is_not_silently_converged(self, link):
+        """x = (-2, -1, 1, 2) separates y = (0, 0, 1, 1) completely, so the
+        likelihood has no maximum.  Probit stops on the decrement rule
+        after 28 iterations at b = (0, 7.15) and compit after 34 at
+        (-11.2, 14.7), both under ``SEPARATION_BOUND``, and neither
+        warns."""
+        data = Dataset.univariate([-2.0, -1.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
+        result = fit_mle(ModelSpec(link), data)
+        assert not result.converged or WARN_SEPARATION in result.warnings
+
     def test_consistency_against_standard_errors(self):
         """With 20k points from a known logit truth, the estimate lands
         within three standard errors (inverse observed information)."""
