@@ -19,7 +19,8 @@ column (``--response``, default "y"); missing and non-finite values
 abort ingestion.  Numeric options take any float literal, negative and
 exponent forms included (``--interval -1e-3 1e-3``).  Exit status is 0
 when the computation completed with at most ``--max-invalid-frac``
-failed replicates, 3 when more replicates failed, and 1 on any error.
+failed replicates, 3 when more replicates failed, and 1 on any error;
+an error writing to a stdout whose reader has gone prints nothing.
 """
 
 from __future__ import annotations
@@ -552,7 +553,17 @@ def main(argv=None) -> int:
     _raise_malloc_thresholds()
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        status = args.handler(args)
+        # a stdout whose reader has gone fails here, not at the exit flush
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader wants no more output, so the rest goes to devnull, and
+        # the interpreter's exit-time flush with it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (LinkEquivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

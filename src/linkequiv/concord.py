@@ -18,10 +18,12 @@ and ``equiv``'s ``predictive_sim`` and ``ic_compare``: the R replicates
 are cut into as few contiguous blocks as bound a block's memory, however
 many workers there are; a block draws each of its splits once, fits
 each link to all of its equal-size training sets in one stacked solve
-and scores all of its test sets with one ``cdf`` call per link.  The
-pass orders the rows once, so every row of a stack holds its y = 0 rows
-and then its y = 1 rows, each sorted by x: the link kernels' selects and
-branches then run in long runs instead of at random.
+and scores all of its test sets with one ``cdf`` call per link.  Its
+result is a dict of named (R, L) arrays, one row per replicate and one
+column per link: ``test_error``, ``aic`` and ``bic``.  The pass orders
+the rows once, so every row of a stack holds its y = 0 rows and then its
+y = 1 rows, each sorted by x: the link kernels' selects and branches then
+run in long runs instead of at random.
 """
 
 from __future__ import annotations
@@ -191,16 +193,16 @@ def split(data: Dataset, plan: SplitPlan, r: int) -> tuple[Dataset, Dataset]:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _ate_replicate(spec: ModelSpec, fit: StackFit, points: np.ndarray,
+def _ate_replicate(link: LinkKind, fit: StackFit, points: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
-    """Test error of each row of a stacked training fit on its own test
-    set, (B, m, k) model matrices with (B, m) labels, scored with one
-    ``cdf`` call; NaN where that row's fit failed.  A failed row is scored
-    at zero coefficients, so every row takes the same path."""
+    """Test error of each row of a stacked training fit under ``link`` on
+    its own test set, (B, m, k) model matrices with (B, m) labels, scored
+    with one ``cdf`` call; NaN where that row's fit failed.  A failed row is
+    scored at zero coefficients, so every row takes the same path."""
     ok = fit.ok
     coefficients = np.where(ok[:, None], fit.coefficients, 0.0)
     eta = (points @ coefficients[:, :, None])[..., 0]
-    errors = np.mean((cdf(spec.link, eta) >= 0.5) != labels, axis=1)
+    errors = np.mean((cdf(link, eta) >= 0.5) != labels, axis=1)
     errors[~ok] = np.nan
     return errors
 
@@ -212,35 +214,34 @@ def _ic_replicate(fit: StackFit, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _aic_bic(fit.loglik, fit.coefficients.shape[1], n)
 
 
-def _paired_block(args) -> np.ndarray:
-    """Test error, AIC and BIC, shape (3, B, L), of B consecutive replicates
-    under L links.  Each split is drawn once, and one fancy index each
-    gathers all B training sets and all B test sets, their rows in the
-    pass's ``order``; every training set has the same number of rows, so
-    each link is fitted to all B of them in one stacked solve
-    (``fit._fit_links``: logit first, from its linear-discriminant start,
-    then probit and cauchit from its fit) and scores all B test sets at
-    once."""
+def _paired_block(args) -> dict[str, np.ndarray]:
+    """The named (B, L) arrays of B consecutive replicates under L links:
+    ``test_error``, ``aic`` and ``bic`` of each replicate's training fit.
+    Each split is drawn once, and one fancy index each gathers all B
+    training sets and all B test sets, their rows in the pass's ``order``;
+    every training set has the same number of rows, so each link is fitted
+    to all B of them in one stacked solve (``fit._fit_links``: logit first,
+    from its linear-discriminant start, then probit and cauchit from its
+    fit) and scores all B test sets at once."""
     data, order, links, plan, intercept, replicates = args
     train, test = _split_indices(order, plan, replicates)
     predictors, responses = data.predictors[train], data.response[train]
     points, labels = _model_matrix(data.predictors[test], intercept), data.response[test]
-    out = np.empty((3, len(replicates), len(links)))
     fits = _fit_links(links, intercept, predictors, responses)
+    out = {name: np.empty((len(replicates), len(links))) for name in ("test_error", "aic", "bic")}
     for j, link in enumerate(links):
-        spec, fit = ModelSpec(link, intercept=intercept), fits[link]
         # the scorers stay functions of their own because perfbench/spans.py
         # traces them by name
-        out[0, :, j] = _ate_replicate(spec, fit, points, labels)
-        out[1:, :, j] = _ic_replicate(fit, train.shape[1])
+        out["test_error"][:, j] = _ate_replicate(link, fits[link], points, labels)
+        out["aic"][:, j], out["bic"][:, j] = _ic_replicate(fits[link], train.shape[1])
     return out
 
 
 def _paired_pass(
     data: Dataset, links, plan: SplitPlan, intercept: bool, jobs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Test error, AIC and BIC of every replicate's training fit under
-    every link, as three (R, L) arrays with NaN where a training fit
+) -> dict[str, np.ndarray]:
+    """The named arrays of ``_paired_block`` for every replicate's training
+    fit under every link: each an (R, L) array, NaN where a training fit
     failed.
 
     The R replicates are cut into contiguous blocks, one
@@ -256,7 +257,8 @@ def _paired_pass(
     pool.
     Stacked rows never interact, so the result does not depend on the
     blocking.  The rows are ordered once, by ``_row_order``, for every
-    block.
+    block.  The blocks' arrays are joined by name, so a block's new array
+    reaches every reader of the pass unchanged.
     """
     n_train = _n_train(data.n)
     if data.response.min() == data.response.max():
@@ -270,8 +272,8 @@ def _paired_pass(
          range(R * b // blocks, R * (b + 1) // blocks))
         for b in range(blocks)
     ]
-    te, aic, bic = np.concatenate(replicate_map(_paired_block, tasks, jobs=jobs), axis=1)
-    return te, aic, bic
+    parts = replicate_map(_paired_block, tasks, jobs=jobs)
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def average_test_error(spec: ModelSpec, data: Dataset, plan: SplitPlan) -> AverageTestError:
@@ -281,7 +283,7 @@ def average_test_error(spec: ModelSpec, data: Dataset, plan: SplitPlan) -> Avera
     information) are recorded as NaN and excluded from the mean.  This is
     the one-link case of the paired-split pass.
     """
-    values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs=1)[0][:, 0].copy()
+    values = _paired_pass(data, (spec.link,), plan, spec.intercept, jobs=1)["test_error"][:, 0]
     valid = values[np.isfinite(values)]
     if valid.size == 0:
         raise ExperimentError("every replicate failed to fit")

@@ -9,8 +9,10 @@ collected.  ``predictive_sim`` and ``ic_compare`` replay R paired
 train/test splits (every link sees the identical partition sequence)
 and summarize test errors or AIC/BIC over them.  Both read the
 paired-split pass of ``concord``, which fits each link to a block of
-training sets in one stacked solve and reports the test error, AIC and
-BIC of every replicate under every link.
+training sets in one stacked solve and returns named (R, L) arrays, the
+test error, AIC and BIC of every replicate under every link; one builder,
+``_link_reports``, turns the arrays a report names into one report per
+link.
 
 Everything is keyed by (seed, replicate index) streams, so results do
 not depend on execution order or worker count.  Replicate r of the
@@ -180,7 +182,8 @@ def _draw(cfg: GenConfig, seed: int, path: tuple, S: int) -> tuple[np.ndarray, n
     responses come from the ``(seed, *path, "y")`` stream.  A stream fills
     the rows in order, so row 0 of an S-row draw is the 1-row draw.  A
     true linear predictor beta0 + beta1 * x that is not finite raises
-    ``DomainError``.
+    ``DomainError``, which names the gaussian design when its draw of x
+    overflowed.
     """
     if isinstance(cfg.design, Equispaced):
         x = np.linspace(cfg.design.lo, cfg.design.hi, cfg.n)
@@ -190,6 +193,10 @@ def _draw(cfg: GenConfig, seed: int, path: tuple, S: int) -> tuple[np.ndarray, n
     with np.errstate(over="ignore", invalid="ignore"):
         eta = cfg.beta0 + cfg.beta1 * x
     if not np.isfinite(eta).all():
+        if isinstance(cfg.design, Gaussian) and not np.isfinite(x).all():
+            raise DomainError(
+                f"gaussian design (mean {cfg.design.mean:g}, sd {cfg.design.sd:g}) drew x "
+                "beyond the double range, so the true linear predictor is not finite")
         raise DomainError("true linear predictor beta0 + beta1 * x must be finite")
     probs = cdf(cfg.truth_link, eta)
     y = (substream(seed, *path, "y").random((S, cfg.n)) < probs).astype(float)
@@ -365,26 +372,35 @@ def _median_iqr(arr: np.ndarray) -> np.ndarray:
     return np.array([np.median(arr), q3 - q1])
 
 
-def _summary_pass(data: Dataset, links: tuple, plan: SplitPlan, jobs: int) -> tuple:
-    """Test errors, AICs and BICs of the paired pass as (R, L) arrays, and
-    the (R, L) mask of the replicates whose training fit succeeded (NaN in
-    all three arrays otherwise).  A summary needs at least 2 replications,
-    and at least 2 usable replicates under every link."""
+def _link_reports(report, arrays: dict, data: Dataset, links, plan: SplitPlan,
+                  jobs: int) -> dict:
+    """One ``report`` per link from the paired pass, every link with an
+    intercept.  ``arrays`` maps each of the pass's arrays that the report
+    holds to its two fields: the link's (R,) column, NaN where the training
+    fit failed, and the ``summarize`` of that column's usable replicates,
+    those whose training fit succeeded; ``n_failed`` counts the others.  A
+    summary needs at least 2 replications, and at least 2 usable
+    replicates under every link."""
     if plan.replications < 2:
         raise ArgumentError("summaries need at least 2 replications")
-    te, aic, bic = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
-    usable = np.isfinite(te)
+    links = tuple(links)
+    result = _paired_pass(data, links, plan, intercept=True, jobs=jobs)
+    usable = np.isfinite(result["test_error"])
     for j, link in enumerate(links):
         if usable[:, j].sum() < 2:
             raise ExperimentError(f"{link}: fewer than 2 usable replicates")
-    return te, aic, bic, usable
+    reports = {}
+    for j, link in enumerate(links):
+        fields = {"n_failed": int((~usable[:, j]).sum())}
+        for name, (values, stats) in arrays.items():
+            fields[values] = result[name][:, j].copy()
+            fields[stats] = summarize(result[name][usable[:, j], j])
+        reports[link] = report(**fields)
+    return reports
 
 
 def predictive_sim(
-    data: Dataset,
-    links,
-    plan: SplitPlan,
-    jobs: int = 1,
+    data: Dataset, links, plan: SplitPlan, jobs: int = 1
 ) -> dict[LinkKind, TestErrorReport]:
     """Paired predictive comparison: every link, with an intercept, is
     fitted and scored on the identical split sequence, and its R test
@@ -392,23 +408,12 @@ def predictive_sim(
     capped or halving-stopped one included; a failed one is NaN and
     counts in ``n_failed``.
     """
-    links = tuple(links)
-    te, _, _, usable = _summary_pass(data, links, plan, jobs)
-    return {
-        link: TestErrorReport(
-            values=te[:, j].copy(),
-            stats=summarize(te[usable[:, j], j]),
-            n_failed=int((~usable[:, j]).sum()),
-        )
-        for j, link in enumerate(links)
-    }
+    return _link_reports(TestErrorReport, {"test_error": ("values", "stats")},
+                         data, links, plan, jobs)
 
 
 def ic_compare(
-    data: Dataset,
-    links,
-    plan: SplitPlan,
-    jobs: int = 1,
+    data: Dataset, links, plan: SplitPlan, jobs: int = 1
 ) -> dict[LinkKind, IcReport]:
     """AIC/BIC of each per-replicate training fit, per link with an
     intercept, using the same paired split sequence as
@@ -416,15 +421,5 @@ def ic_compare(
     or halving-stopped one included, although ``information_criteria``
     refuses a fit that did not converge; a failed one is NaN and counts
     in ``n_failed``."""
-    links = tuple(links)
-    _, aic, bic, usable = _summary_pass(data, links, plan, jobs)
-    return {
-        link: IcReport(
-            aic=aic[:, j].copy(),
-            bic=bic[:, j].copy(),
-            aic_stats=summarize(aic[usable[:, j], j]),
-            bic_stats=summarize(bic[usable[:, j], j]),
-            n_failed=int((~usable[:, j]).sum()),
-        )
-        for j, link in enumerate(links)
-    }
+    return _link_reports(IcReport, {"aic": ("aic", "aic_stats"), "bic": ("bic", "bic_stats")},
+                         data, links, plan, jobs)

@@ -96,8 +96,9 @@ class TestGen:
         (("gen", "--beta1", "1e308", "--interval", 0, 10), "linear predictor"),
         (("gen", "--design", "gaussian", "--sd", "1e308", "--beta1", "1e308"),
          "linear predictor"),
+        (("gen", "--design", "gaussian", "--sd", "1e308", "--beta1", 0), "gaussian design"),
     ], ids=["mean", "sd", "beta0", "beta1", "overflowing-width", "overflowing-predictor",
-            "overflowing-gaussian-predictor"])
+            "overflowing-gaussian-predictor", "overflowing-gaussian-draw"])
     def test_non_finite_generator_input_exits_one(self, tmp_path, capsys, args, name):
         """A non-finite generator parameter, or one that overflows the
         design or the true linear predictor, ends in one error line that
@@ -435,6 +436,31 @@ class TestPredictive:
                    "--out", out) == EXIT_ERROR
         assert "--n" in self._one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, dataset_csv, tmp_path, unbuffered):
+        """A run whose stdout reader has gone writes the same CSV as a
+        normal run, then exits 1 with nothing on stderr, whether its
+        stdout is block-buffered or not."""
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        argv = ["predictive", "--csv", dataset_csv, "-R", 5, "--seed", 2, "--out"]
+        assert run(*argv, want) == EXIT_OK
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "linkequiv", *map(str, argv), str(got)],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_ERROR, b"")
+        assert got.read_bytes() == want.read_bytes()
 
     def test_flaky_fits_flip_exit_status(self, tmp_path):
         """A dataset with a single positive label makes many training

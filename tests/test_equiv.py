@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from linkequiv import (
     ArgumentError,
@@ -334,6 +335,73 @@ class TestStructuralSim:
             structural_sim(EXAMPLE_ONE, R=1, S=2, seed=0)
 
 
+# (F, f) of the links of the structural study, written from scipy alone
+ORACLE_LINKS = {
+    "logit": lambda t: (special.expit(t), special.expit(t) * special.expit(-t)),
+    "probit": lambda t: (special.ndtr(t), np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)),
+    "cauchit": lambda t: (0.5 + np.arctan(t) / math.pi, 1.0 / (math.pi * (1.0 + t * t))),
+}
+
+
+def first_order_theta(n, beta1=0.5):
+    """theta_inf = (A_logit / A_probit) * (B_pl / B_ll), the first-order
+    probit-on-logit slope of one-slope fits to a cauchit truth on n
+    equispaced x in [0, 1] (Huber 1967; White 1982).  Each link's
+    pseudo-true b* maximizes the expected log-likelihood, with y replaced
+    by the true p; A is the expected information at b*, by central
+    differences of the expected score, and B_jk = sum x^2 a_j a_k p(1 - p)
+    with a = f / (F(1 - F)) at b* x."""
+    x = np.linspace(0.0, 1.0, n)
+    p = ORACLE_LINKS["cauchit"](beta1 * x)[0]
+
+    def weight(link, b):
+        F, f = ORACLE_LINKS[link](b * x)
+        return F, f / (F * (1.0 - F))
+
+    def expected_score(link, b):
+        F, a = weight(link, b)
+        return np.sum(x * a * (p - F))
+
+    def pseudo_true(link):
+        def loss(b):
+            F = weight(link, b)[0]
+            return -np.sum(p * np.log(F) + (1.0 - p) * np.log1p(-F))
+        return optimize.minimize_scalar(loss, bounds=(1e-3, 10.0), method="bounded",
+                                        options={"xatol": 1e-12}).x
+
+    def information(link, b, h=1e-5):
+        return (expected_score(link, b - h) - expected_score(link, b + h)) / (2.0 * h)
+
+    b_logit, b_probit = pseudo_true("logit"), pseudo_true("probit")
+    a_logit, a_probit = weight("logit", b_logit)[1], weight("probit", b_probit)[1]
+    v = x * x * p * (1.0 - p)
+    return (information("logit", b_logit) / information("probit", b_probit)
+            * np.sum(v * a_probit * a_logit) / np.sum(v * a_logit * a_logit))
+
+
+class TestStructuralOracle:
+    def test_oracle_matches_the_tabulated_value(self):
+        """The first-order slope of the default design, beta1 = 0.5."""
+        assert round(first_order_theta(199), 4) == 0.6191
+
+    def test_mean_slope_converges_to_the_first_order_slope(self):
+        """The mean slope over R = 20 replicates of S = 100 datasets lies
+        within 3 replicate standard errors of theta_inf at n = 1990, and its
+        gap to theta_inf is at most a fifth of the gap at n = 199: that gap
+        is an O(1/n) bias.  Over seeds 0-7 the n = 1990 gap was at most
+        1.7 standard errors, and at least 7.6 times smaller than at
+        n = 199."""
+        gaps = {}
+        for n in (199, 1990):
+            cfg = GenConfig(design=Equispaced(0.0, 1.0), truth_link=LinkKind.CAUCHIT,
+                            beta0=0.0, beta1=0.5, n=n)
+            theta = structural_sim(cfg, R=20, S=100, seed=0).theta_hats
+            gaps[n] = theta.mean() - first_order_theta(n)
+        se = theta.std(ddof=1) / math.sqrt(theta.size)
+        assert abs(gaps[1990]) <= 3.0 * se
+        assert abs(gaps[1990]) <= abs(gaps[199]) / 5.0
+
+
 GAUSSIAN_INTERCEPT = GenConfig(design=Gaussian(0.0, 1.0), truth_link=LinkKind.LOGIT,
                                beta0=0.4, beta1=1.0, n=80)
 
@@ -520,6 +588,10 @@ def loop_reference(data, links, plan, intercept):
     return te, aic, bic
 
 
+# the named arrays of the paired pass, in the order loop_reference returns them
+PASS_ARRAYS = ("test_error", "aic", "bic")
+
+
 class TestPairedPass:
     @pytest.mark.parametrize("data, intercept", [
         (_real_data(), True),
@@ -531,8 +603,8 @@ class TestPairedPass:
         plan = SplitPlan(replications=9, seed=40)
         links = list(LinkKind)
         got = _paired_pass(data, links, plan, intercept, jobs=1)
-        for field, want in zip(got, loop_reference(data, links, plan, intercept)):
-            np.testing.assert_array_equal(field, want)
+        for name, want in zip(PASS_ARRAYS, loop_reference(data, links, plan, intercept)):
+            np.testing.assert_array_equal(got[name], want)
 
     @pytest.mark.parametrize("data", [_real_data(), _thin_data()])
     def test_stacks_hold_each_split_in_response_then_x_order(self, monkeypatch, data):
@@ -561,10 +633,10 @@ class TestPairedPass:
 
     def test_failed_training_fit_is_nan_in_every_field(self):
         plan = SplitPlan(replications=9, seed=40)
-        te, aic, bic = _paired_pass(_thin_data(), list(LinkKind), plan, True, jobs=1)
-        failed = np.isnan(te).all(axis=1)
+        got = _paired_pass(_thin_data(), list(LinkKind), plan, True, jobs=1)
+        failed = np.isnan(got["test_error"]).all(axis=1)
         assert 0 < failed.sum() < plan.replications
-        for field in (te, aic, bic):
+        for field in (got[name] for name in PASS_ARRAYS):
             assert np.isnan(field[failed]).all()
             assert np.isfinite(field[~failed]).all()
 
@@ -586,8 +658,8 @@ class TestPairedPass:
         monkeypatch.setattr(concord, "replicate_map", recording_map)
         got = _paired_pass(data, list(LinkKind), plan, True, jobs=1)
         assert tasks_seen == [blocks]
-        for field, expected in zip(got, want):
-            np.testing.assert_array_equal(field, expected)
+        for name in PASS_ARRAYS:
+            np.testing.assert_array_equal(got[name], want[name])
 
     @pytest.mark.parametrize("harness, fields", [
         (predictive_sim, ("values",)),
